@@ -481,7 +481,7 @@ impl<'m> Ctx<'m> {
         if !m.faults_active() {
             return Ok(());
         }
-        if m.pe_failed(target) {
+        if m.pe_dead_at(target, self.pe.now()) {
             return Err(ConduitError::TargetFailed { op, target });
         }
         let max = m.fault_plan().map_or(u32::MAX, |p| p.retry.max_attempts);
@@ -547,7 +547,7 @@ impl<'m> Ctx<'m> {
                 });
             }
             Stats::bump(&stats.retries);
-            if m.pe_failed(target) {
+            if m.pe_dead_at(target, self.pe.now()) {
                 return Err(ConduitError::TargetFailed { op, target });
             }
         }
@@ -2268,6 +2268,9 @@ mod tests {
                 None
             } else if pe.id() == 0 {
                 m.wait_on(0, || m.pe_failed(2));
+                // Dead-target decisions compare the issuer's virtual clock
+                // with the scheduled death, so issue after it.
+                pe.advance(1_000.0);
                 let put = ctx.try_put(2, 0, &[1u8; 8]);
                 let mut buf = [0u8; 8];
                 let get = ctx.try_get(2, 0, &mut buf);
@@ -2365,15 +2368,17 @@ mod tests {
     #[test]
     fn am_call_to_a_dying_target_times_out_instead_of_blocking() {
         use pgas_machine::{FaultPlan, RetryPolicy};
+        // Late enough that the set-up barrier completes before it.
+        const DEADLINE: u64 = 10_000;
         let plan = FaultPlan::new(5)
-            .with_pe_failure(2, 1_000)
+            .with_pe_failure(2, DEADLINE)
             .with_retry(RetryPolicy { max_attempts: 3, ..Default::default() });
         let out = run(two_node_cfg().with_faults(plan), |pe| {
             let ctx = shmem_ctx(pe);
             let add = ctx.register_am(Rc::new(AddAm));
             ctx.barrier_all();
             if pe.id() == 2 {
-                pe.advance(2_000.0); // crosses the scheduled deadline
+                pe.advance(2.0 * DEADLINE as f64); // crosses the scheduled deadline
                 None
             } else if pe.id() == 0 {
                 // Issue just before the target's deadline: the request is
@@ -2381,8 +2386,8 @@ mod tests {
                 // falls after the death, so no reply can ever come. The
                 // sender must pay the reply-timeout retry chain and then
                 // surface the loss — not block forever.
-                pe.advance(990.0);
-                let t0 = pe.now();
+                let t0 = pe.machine().lift_clock(0, DEADLINE - 10);
+                assert_eq!(t0, DEADLINE - 10, "issued before the target's deadline");
                 let err = ctx.try_am_call(2, add, &5u64.to_le_bytes()).err();
                 Some((err, pe.now() - t0))
             } else {

@@ -158,6 +158,9 @@ fn coarray_stat_ops_observe_dead_targets() {
             return (Ok(()), Ok(0), 0);
         }
         img.machine().wait_on(me - 1, || img.image_failed(2));
+        // Dead-target decisions compare the issuer's virtual clock with the
+        // scheduled death, so issue after it.
+        img.machine().lift_clock(me - 1, 100_000);
         let to_dead = c.put_to_stat(img, 2, &[5, 5]);
         let from_dead = c.get_elem_stat(img, 2, &[0]);
         let partner = if me == 1 { 3 } else { 1 };

@@ -245,7 +245,16 @@ where
     F: Fn(Pe<'_>) -> R + Send + Sync,
     R: Send,
 {
-    let machine: Arc<Machine> = Machine::new(cfg);
+    run_on(Machine::new(cfg), f)
+}
+
+/// [`run_with_result`] on an already built machine, which the caller may
+/// keep to inspect after the run.
+pub(crate) fn run_on<F, R>(machine: Arc<Machine>, f: F) -> Result<SimOutcome<R>, SimError>
+where
+    F: Fn(Pe<'_>) -> R + Send + Sync,
+    R: Send,
+{
     let n = machine.num_pes();
     let name = machine.config().name.clone();
     let stack = machine.config().stack_bytes;

@@ -36,10 +36,13 @@ struct PeState {
 struct StreamState {
     cadence_ns: u64,
     ring: Arc<SnapshotRing>,
-    /// Next cadence boundary a sample is owed for; claimed by CAS so
-    /// exactly one PE thread produces each sample.
+    /// Next cadence boundary a sample is owed for. Read lock-free on every
+    /// clock move; advanced only under `claim`.
     next_tick: AtomicU64,
-    seq: AtomicU64,
+    /// The boundary claim, holding the next sample's sequence number: the
+    /// thread that holds it moves `next_tick` past its clock, stamps the
+    /// sample and pushes it, so samples reach the ring in `seq` order.
+    claim: Mutex<u64>,
     /// The originating config, kept so push consumers registered on it —
     /// even after the machine was built — see every sample.
     cfg: StreamConfig,
@@ -51,7 +54,7 @@ impl StreamState {
             cadence_ns: cfg.cadence_ns(),
             ring: cfg.ring(),
             next_tick: AtomicU64::new(cfg.cadence_ns()),
-            seq: AtomicU64::new(0),
+            claim: Mutex::new(0),
             cfg,
         }
     }
@@ -62,9 +65,11 @@ impl StreamState {
 ///
 /// [`Nic::reserve`] grants lane occupancy first-come-first-served in *real*
 /// time, so when several PEs contend with overlapping virtual windows the
-/// per-PE split of queueing delay depends on host scheduling (the makespan
-/// and lane totals stay invariant, but `bench regress` digests compare the
-/// split bit-for-bit). The arbiter restores determinism by granting whole
+/// reservation order — and with it the per-PE split of queueing delay and
+/// the makespan itself — depends on host scheduling. (A 16×16 Stampede
+/// ring of put + quiet + barrier, 50 rounds, gave first-come makespans
+/// from 770,161 to 777,189 ns over 6 runs; the arbiter gives 801,285 ns on
+/// every run.) The arbiter restores determinism by granting whole
 /// reservation sequences in `(virtual start, pe)` order: a request parks,
 /// and is granted once it is the minimum parked key and every other PE
 /// provably cannot issue an earlier one — its clock is already past `start`
@@ -82,29 +87,35 @@ impl StreamState {
 /// write — e.g. `pe_failed` flips during a fault plan — where wake latency
 /// can still tie-break; fault-plan runs should not claim deterministic
 /// digests.
+///
+/// Wakes are targeted at the one PE that can act. A granted PE's unpark
+/// wakes the next minimum. A minimum that cannot be granted records the PE
+/// that blocks it (`blocker`, the last in PE order) and sleeps; only a
+/// state change of that PE — its clock passing `start`, or it parking,
+/// going quiescent or finishing — wakes it, decided under the `inner`
+/// mutex. The blocker's side is lock-free until it finds itself
+/// recorded: it changes its state, issues a `SeqCst` fence and reads
+/// `blocker`; the minimum records `blocker`, issues a `SeqCst` fence and
+/// re-reads the blocker's state before sleeping. One of the two always sees
+/// the other's write, so the wake cannot be lost.
 struct ArbiterState {
-    /// Parked requests, at most one per PE, ordered by `(start, pe, ctx)`:
-    /// the context channel id is part of the key, so ops issued on
-    /// different per-context NIC channels park as distinct requests (a PE
-    /// still parks at most one at a time — its thread is sequential — so
-    /// the cross-PE grant order is decided by `(start, pe)` exactly as
-    /// before; the ctx component is attribution, not tie-breaking).
-    parked: Mutex<BTreeSet<(u64, PeId, u32)>>,
-    /// One condvar per PE (all guarded by the `parked` mutex): only the
+    inner: Mutex<ArbInner>,
+    /// One condvar per PE (all guarded by the `inner` mutex): only the
     /// holder of the *minimum* parked key can ever be granted, so wakes
     /// target exactly that thread instead of broadcasting to every parked
     /// PE — at 1024+ images a shared-condvar broadcast per clock movement
     /// is a thundering herd that dominates wall time.
     cvs: Vec<Condvar>,
-    /// PE holding the minimum parked key (`usize::MAX` when none), cached
-    /// under the `parked` mutex on every insert/remove so clock movements
-    /// can find their wake target with one atomic load, no locking.
-    min_pe: AtomicUsize,
-    /// Mirror of "is this PE parked", updated under the `parked` mutex:
-    /// lets the grant check ask in O(1) instead of scanning the set.
-    parked_flags: Vec<AtomicBool>,
+    /// The PE recorded as blocking the minimum parked request (`NO_PE` when
+    /// none). Written under the `inner` mutex, read lock-free by every
+    /// state change of a PE to decide whether it owes the minimum a wake.
+    blocker: AtomicUsize,
+    /// The `start` of the request `blocker` blocks; written before it.
+    block_start: AtomicU64,
+    /// Is this PE parked? Set and cleared under the `inner` mutex.
+    parked_flags: PeBits,
     /// PEs that cannot issue a NIC request until externally unblocked.
-    quiescent: Vec<AtomicBool>,
+    quiescent: PeBits,
     /// PEs whose quiescence comes from `wait_on` (as opposed to a barrier):
     /// a write published through [`Machine::apply_and_notify`] may satisfy
     /// their predicate, so it must withdraw their quiescence in the same
@@ -117,7 +128,70 @@ struct ArbiterState {
     /// flag, including one belonging to a PE that died early and already
     /// exited; survivors' parked turns would then wait forever on a thread
     /// that no longer exists.
-    finished: Vec<AtomicBool>,
+    finished: PeBits,
+    /// Grants that followed a timed-out wait with no wake sent: each is a
+    /// wake the protocol failed to deliver, repaired by the poll tick.
+    lost_wakes: AtomicU64,
+    /// Mirror of "`ArbInner::late[pe]` is set", read lock-free so that
+    /// `pe`'s next state change settles it.
+    late_bits: PeBits,
+}
+
+/// Arbiter state guarded by its mutex.
+struct ArbInner {
+    /// Parked requests, at most one per PE, ordered by `(start, pe, ctx)`:
+    /// the context channel id is part of the key, so ops issued on
+    /// different per-context NIC channels park as distinct requests (a PE
+    /// still parks at most one at a time — its thread is sequential — so
+    /// the cross-PE grant order is decided by `(start, pe)` exactly as
+    /// before; the ctx component is attribution, not tie-breaking).
+    parked: BTreeSet<(u64, PeId, u32)>,
+    /// `woken[pe]`: a wake was sent to `pe` since it last went to sleep.
+    woken: Vec<bool>,
+    /// `late[b] = Some(c)`: a minimum was granted after a timed-out wait
+    /// while `b`, at clock `c`, was its recorded blocker. If `b`'s wake for
+    /// that state still arrives (it was preempted between its state change
+    /// and the wake), it was late, not lost, and the count is taken back.
+    late: Vec<Option<u64>>,
+}
+
+/// No PE: the empty `blocker` slot.
+const NO_PE: PeId = usize::MAX;
+
+/// One flag per PE, packed 64 to an atomic word, so a scan over every PE
+/// reads ⌈n/64⌉ words.
+struct PeBits(Vec<AtomicU64>);
+
+impl PeBits {
+    fn new(n: usize) -> PeBits {
+        PeBits((0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    #[inline]
+    fn set(&self, pe: PeId, on: bool) {
+        let bit = 1u64 << (pe % 64);
+        if on {
+            self.0[pe / 64].fetch_or(bit, Ordering::AcqRel);
+        } else {
+            self.0[pe / 64].fetch_and(!bit, Ordering::AcqRel);
+        }
+    }
+
+    #[inline]
+    fn get(&self, pe: PeId) -> bool {
+        self.word(pe / 64) & (1u64 << (pe % 64)) != 0
+    }
+
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        self.0[w].load(Ordering::Acquire)
+    }
+
+    fn clear_all(&self) {
+        for w in &self.0 {
+            w.store(0, Ordering::Release);
+        }
+    }
 }
 
 /// The simulated machine. Shared (via reference) by every PE thread.
@@ -185,13 +259,20 @@ impl Machine {
             .filter(|&w| w > 0 && w < n)
             .map(|w| SchedState::new(w, n));
         let arbiter = cfg.deterministic_nic.then(|| ArbiterState {
-            parked: Mutex::new(BTreeSet::new()),
+            inner: Mutex::new(ArbInner {
+                parked: BTreeSet::new(),
+                woken: vec![false; n],
+                late: vec![None; n],
+            }),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
-            min_pe: AtomicUsize::new(usize::MAX),
-            parked_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            quiescent: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            blocker: AtomicUsize::new(NO_PE),
+            block_start: AtomicU64::new(0),
+            parked_flags: PeBits::new(n),
+            quiescent: PeBits::new(n),
             in_wait_on: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            finished: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            finished: PeBits::new(n),
+            lost_wakes: AtomicU64::new(0),
+            late_bits: PeBits::new(n),
         });
         Arc::new(Machine {
             faults,
@@ -513,10 +594,10 @@ impl Machine {
             at_ns: now,
         });
         self.tracer.record(Span::op(pe, SpanKind::Fault, now, now, None, 0));
-        self.global_barrier.leave();
+        self.global_barrier.leave(self.sched.as_ref());
         for (group, b) in subsets.iter() {
             if group.binary_search(&pe).is_ok() {
-                b.leave();
+                b.leave(self.sched.as_ref());
             }
         }
         drop(subsets);
@@ -563,17 +644,17 @@ impl Machine {
     /// live monitoring surface, not a deterministic artifact.
     #[cold]
     fn stream_sample(&self, st: &StreamState, now: u64) {
-        let due = st.next_tick.load(Ordering::Relaxed);
-        if now < due {
+        let mut claim = st.claim.lock();
+        if now < st.next_tick.load(Ordering::Relaxed) {
             return;
         }
         // One sample per crossing: the winner moves the boundary past `now`.
         let next = (now / st.cadence_ns + 1) * st.cadence_ns;
-        if st.next_tick.compare_exchange(due, next, Ordering::AcqRel, Ordering::Relaxed).is_err() {
-            return;
-        }
+        st.next_tick.store(next, Ordering::Relaxed);
+        let seq = *claim;
+        *claim += 1;
         let sample = StreamSample {
-            seq: st.seq.fetch_add(1, Ordering::Relaxed),
+            seq,
             t_ns: now,
             clocks: (0..self.num_pes()).map(|p| self.clock(p)).collect(),
             counters: self.metrics.live_counter_totals(),
@@ -688,86 +769,162 @@ impl Machine {
         f: impl FnOnce() -> R,
     ) -> R {
         let key = (start, pe, ctx);
-        let mut parked = arb.parked.lock();
-        let inserted = parked.insert(key);
+        let mut g = arb.inner.lock();
+        let inserted = g.parked.insert(key);
         debug_assert!(inserted, "a PE parks at most one NIC request at a time");
-        arb.parked_flags[pe].store(true, Ordering::Release);
-        Self::arb_cache_min(arb, &parked);
-        // Parking makes this PE "comparable by key", which can complete the
-        // current minimum's grant condition — wake it (if it isn't us).
-        let min = *parked.iter().next().expect("own key is parked");
-        if min != key {
-            arb.cvs[min.1].notify_all();
+        arb.parked_flags.set(pe, true);
+        // Parking makes this PE "comparable by key": if it was the current
+        // minimum's recorded blocker, that minimum may now be grantable.
+        if g.parked.first() != Some(&key) && arb.blocker.load(Ordering::Relaxed) == pe {
+            let min = Self::arb_wake_min(arb, &mut g);
+            Self::arb_notify(arb, min);
         }
+        let mut timed_out = false;
         loop {
             if self.poison.is_poisoned() {
-                parked.remove(&key);
-                arb.parked_flags[pe].store(false, Ordering::Release);
-                Self::arb_cache_min(arb, &parked);
-                drop(parked);
-                self.arb_wake_min(arb);
+                g.parked.remove(&key);
+                arb.parked_flags.set(pe, false);
+                let min = Self::arb_wake_min(arb, &mut g);
+                drop(g);
+                Self::arb_notify(arb, min);
                 self.poison.check(); // panics
                 unreachable!("poison.check() panics when poisoned");
             }
-            let min = *parked.iter().next().expect("own key is parked");
-            if min == key && self.arb_grantable(arb, start, pe) {
-                break;
+            let is_min = g.parked.first() == Some(&key);
+            if is_min {
+                let Some(b) = self.arb_blocker(arb, start, pe) else {
+                    let b = arb.blocker.swap(NO_PE, Ordering::Relaxed);
+                    if timed_out && !g.woken[pe] {
+                        arb.lost_wakes.fetch_add(1, Ordering::Relaxed);
+                        if b != NO_PE {
+                            g.late[b] = Some(self.clock(b));
+                            arb.late_bits.set(b, true);
+                        }
+                    }
+                    break;
+                };
+                arb.block_start.store(start, Ordering::Relaxed);
+                arb.blocker.store(b, Ordering::Release);
+                std::sync::atomic::fence(Ordering::SeqCst);
+                if !self.arb_blocks(arb, b, start) {
+                    continue; // `b` moved before it could see the record
+                }
             }
-            // Timed wait on this PE's own condvar: a missed notification
-            // (or a PE advancing past `start` without ever touching the
-            // arbiter) can never hang us. Only the minimum key polls
-            // eagerly — its grant condition reads other PEs' clocks, which
-            // can move without an arbiter touch; everyone else is woken by
-            // name on becoming the minimum and polls only as a backstop.
+            // Timed wait on this PE's own condvar. Every wake is decided
+            // under the mutex this wait holds, so the timeout is a backstop
+            // only: the minimum polls eagerly, everyone else lazily.
+            g.woken[pe] = false;
             let tick =
-                if min == key { crate::sync::WAIT_TICK_MIN } else { crate::sync::WAIT_TICK_IDLE };
-            arb.cvs[pe].wait_for(&mut parked, tick);
+                if is_min { crate::sync::WAIT_TICK_MIN } else { crate::sync::WAIT_TICK_IDLE };
+            timed_out = arb.cvs[pe].wait_for(&mut g, tick).timed_out();
         }
+        g.woken[pe] = false;
         // Keep the key parked while reserving: it blocks every later key, so
         // grants are mutually exclusive without a separate lock.
-        drop(parked);
+        drop(g);
         let out = f();
-        let mut parked = arb.parked.lock();
-        parked.remove(&key);
-        arb.parked_flags[pe].store(false, Ordering::Release);
-        Self::arb_cache_min(arb, &parked);
-        drop(parked);
-        self.arb_wake_min(arb);
+        let mut g = arb.inner.lock();
+        g.parked.remove(&key);
+        arb.parked_flags.set(pe, false);
+        // Hand over to the new minimum. Wake it even if this PE still
+        // blocks it (its clock has not passed the new start): this PE
+        // usually passes it before the woken thread gets to run, so the wake
+        // latency overlaps this PE's progress instead of following it.
+        let min = Self::arb_wake_min(arb, &mut g);
+        drop(g);
+        Self::arb_notify(arb, min);
         out
     }
 
-    /// Refresh the cached minimum-key holder. Call with the `parked` mutex
-    /// held, after every insert/remove.
-    fn arb_cache_min(arb: &ArbiterState, parked: &BTreeSet<(u64, PeId, u32)>) {
-        let min = parked.iter().next().map(|&(_, p, _)| p).unwrap_or(usize::MAX);
-        arb.min_pe.store(min, Ordering::Release);
+    /// Decide to wake the holder of the minimum parked key, if any, and
+    /// clear the blocker record it will redo. Call with the `inner` mutex
+    /// held; pass the result to [`Self::arb_notify`] once it is released.
+    fn arb_wake_min(arb: &ArbiterState, g: &mut ArbInner) -> Option<PeId> {
+        arb.blocker.store(NO_PE, Ordering::Relaxed);
+        let &(_, min, _) = g.parked.first()?;
+        g.woken[min] = true;
+        Some(min)
     }
 
-    /// Wake the holder of the minimum parked key, if any. Lock-free — the
-    /// target is the cached `min_pe` — and sufficient: only the minimum can
-    /// be granted, every other parked PE sleeps until it becomes the
-    /// minimum (a stale read is repaired by the next wake or, worst case,
-    /// the target's own backstop-tick re-check).
-    #[inline]
-    fn arb_wake_min(&self, arb: &ArbiterState) {
-        let min = arb.min_pe.load(Ordering::Acquire);
-        if min != usize::MAX {
-            arb.cvs[min].notify_all();
+    /// Send a wake decided by [`Self::arb_wake_min`]. Sent after the mutex
+    /// is released, so the woken thread does not block on it straight
+    /// away; it cannot be lost, because the target re-checks under the
+    /// mutex before every sleep and the decision was made under it.
+    fn arb_notify(arb: &ArbiterState, min: Option<PeId>) {
+        if let Some(min) = min {
+            arb.cvs[min].notify_one();
         }
     }
 
-    /// Grant condition for a parked minimum `(start, pe)`: every other PE is
-    /// quiescent, parked itself (its key is larger — ours is the minimum), or
-    /// already strictly past `start` (clocks are monotone, so it can never
-    /// issue an earlier request).
-    fn arb_grantable(&self, arb: &ArbiterState, start: u64, pe: PeId) -> bool {
-        (0..self.num_pes()).all(|q| {
-            q == pe
-                || arb.finished[q].load(Ordering::Acquire)
-                || arb.quiescent[q].load(Ordering::Acquire)
-                || arb.parked_flags[q].load(Ordering::Acquire)
-                || self.clock(q) > start
-        })
+    /// Grant check for a parked minimum `(start, pe)`: the last PE in PE
+    /// order that is not quiescent, not parked itself (its key is larger —
+    /// ours is the minimum) and not yet strictly past `start` (clocks are
+    /// monotone, so once past it can never issue an earlier request).
+    /// `None` means the request is grantable. Reads ⌈n/64⌉ words of each
+    /// flag set and loads clocks only for PEs with no flag set.
+    fn arb_blocker(&self, arb: &ArbiterState, start: u64, pe: PeId) -> Option<PeId> {
+        let n = self.num_pes();
+        for w in (0..n.div_ceil(64)).rev() {
+            let mut open =
+                !(arb.finished.word(w) | arb.quiescent.word(w) | arb.parked_flags.word(w));
+            let base = w * 64;
+            if n - base < 64 {
+                open &= (1u64 << (n - base)) - 1;
+            }
+            if pe / 64 == w {
+                open &= !(1u64 << (pe % 64));
+            }
+            while open != 0 {
+                let bit = 63 - open.leading_zeros() as usize;
+                if self.clock(base + bit) <= start {
+                    return Some(base + bit);
+                }
+                open ^= 1u64 << bit;
+            }
+        }
+        None
+    }
+
+    /// Does `q` block a grant to a request at `start`?
+    fn arb_blocks(&self, arb: &ArbiterState, q: PeId, start: u64) -> bool {
+        !(arb.finished.get(q) || arb.quiescent.get(q) || arb.parked_flags.get(q))
+            && self.clock(q) <= start
+    }
+
+    /// After a state change of `pe` that can unblock a grant (its clock
+    /// moved, or it went quiescent or finished): if it is the minimum's
+    /// recorded blocker and no longer blocks, wake the minimum. The fence
+    /// pairs with the one the minimum issues after recording its blocker;
+    /// the common path is the fence and two loads.
+    #[inline]
+    fn arb_state_changed(&self, arb: &ArbiterState, pe: PeId) {
+        std::sync::atomic::fence(Ordering::SeqCst);
+        if (arb.blocker.load(Ordering::Acquire) == pe
+            && !self.arb_blocks(arb, pe, arb.block_start.load(Ordering::Relaxed)))
+            || arb.late_bits.get(pe)
+        {
+            self.arb_unblock(arb, pe);
+        }
+    }
+
+    /// Slow path of a blocker's state change: re-check under the mutex and
+    /// wake the minimum.
+    #[cold]
+    fn arb_unblock(&self, arb: &ArbiterState, pe: PeId) {
+        let mut g = arb.inner.lock();
+        if let Some(c) = g.late[pe].take() {
+            arb.late_bits.set(pe, false);
+            if c == self.clock(pe) {
+                arb.lost_wakes.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        if arb.blocker.load(Ordering::Relaxed) == pe
+            && !self.arb_blocks(arb, pe, arb.block_start.load(Ordering::Relaxed))
+        {
+            let min = Self::arb_wake_min(arb, &mut g);
+            drop(g);
+            Self::arb_notify(arb, min);
+        }
     }
 
     /// Mark `pe` unable to issue NIC requests until externally unblocked
@@ -776,20 +933,19 @@ impl Machine {
     #[inline]
     pub(crate) fn arb_set_quiescent(&self, pe: PeId, quiescent: bool) {
         if let Some(arb) = &self.arbiter {
-            arb.quiescent[pe].store(quiescent, Ordering::Release);
+            arb.quiescent.set(pe, quiescent);
             if quiescent {
-                self.arb_wake_min(arb);
+                self.arb_state_changed(arb, pe);
             }
         }
     }
 
-    /// Wake the arbiter's minimum-key holder after a clock movement (its
-    /// grant check reads other PEs' clocks). One branch when no arbiter,
-    /// one atomic load when nothing is parked.
+    /// `pe`'s clock moved (grant checks read it). One branch when no
+    /// arbiter.
     #[inline]
-    fn arb_clock_moved(&self) {
+    fn arb_clock_moved(&self, pe: PeId) {
         if let Some(arb) = &self.arbiter {
-            self.arb_wake_min(arb);
+            self.arb_state_changed(arb, pe);
         }
     }
 
@@ -798,10 +954,19 @@ impl Machine {
     /// a panic may have unwound out of a slotless blocking region) freed.
     pub(crate) fn pe_finished(&self, pe: PeId) {
         if let Some(arb) = &self.arbiter {
-            arb.finished[pe].store(true, Ordering::Release);
+            arb.finished.set(pe, true);
         }
         self.arb_set_quiescent(pe, true);
         self.sched_release(pe);
+    }
+
+    /// Arbiter and ready-queue waits that ended by timeout and then made
+    /// progress (a grant or an admission) with no wake sent to them. Each
+    /// would be a wake the protocol lost; only the poll ticks repair them.
+    #[cfg(test)]
+    pub(crate) fn lost_wakes(&self) -> u64 {
+        self.sched.as_ref().map_or(0, |s| s.lost_wakes())
+            + self.arbiter.as_ref().map_or(0, |a| a.lost_wakes.load(Ordering::Relaxed))
     }
 
     // ---- virtual clocks ------------------------------------------------
@@ -822,7 +987,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved();
+        self.arb_clock_moved(pe);
         next
     }
 
@@ -834,7 +999,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved();
+        self.arb_clock_moved(pe);
         next
     }
 
@@ -862,7 +1027,7 @@ impl Machine {
             let out = f();
             if let Some(arb) = &self.arbiter {
                 if arb.in_wait_on[pe].load(Ordering::Acquire) {
-                    arb.quiescent[pe].store(false, Ordering::Release);
+                    arb.quiescent.set(pe, false);
                 }
             }
             out
@@ -891,11 +1056,11 @@ impl Machine {
             pred,
             || {
                 arb.in_wait_on[pe].store(true, Ordering::Release);
-                arb.quiescent[pe].store(true, Ordering::Release);
-                self.arb_wake_min(arb);
+                arb.quiescent.set(pe, true);
+                self.arb_state_changed(arb, pe);
             },
             || {
-                arb.quiescent[pe].store(false, Ordering::Release);
+                arb.quiescent.set(pe, false);
                 arb.in_wait_on[pe].store(false, Ordering::Release);
             },
         );
@@ -937,22 +1102,38 @@ impl Machine {
         Stats::bump(&self.stats.barriers);
         self.arb_set_quiescent(pe, true);
         // The completing arrival clears every participant's quiescent flag
-        // *before* the waiters wake: a released-but-unscheduled PE must not
-        // look quiescent to the NIC arbiter, or reservations could be granted
-        // out of virtual-time order.
-        let max = self.sched_block(pe, || {
-            self.global_barrier.arrive_with(self.clock(pe), &self.poison, || {
-                for q in 0..self.num_pes() {
-                    self.arb_set_quiescent(q, false);
+        // *before* the waiters are released: a released-but-unscheduled PE
+        // must not look quiescent to the NIC arbiter, or reservations could
+        // be granted out of virtual-time order.
+        let max = self.global_barrier.arrive_with(
+            pe,
+            self.clock(pe),
+            self.sched.as_ref(),
+            &self.poison,
+            || {
+                if let Some(arb) = &self.arbiter {
+                    arb.quiescent.clear_all();
                 }
-            })
-        });
+            },
+        );
+        self.barrier_done(pe, max, extra_ns, 0..self.num_pes())
+    }
+
+    /// Common tail of both barriers: set `pe`'s clock to `max + extra_ns`
+    /// and publish the move.
+    fn barrier_done(
+        &self,
+        pe: PeId,
+        max: u64,
+        extra_ns: f64,
+        group: impl Iterator<Item = PeId>,
+    ) -> u64 {
         let t = max + extra_ns.round() as u64;
         self.pes[pe].clock.store(t, Ordering::Release);
         self.arb_set_quiescent(pe, false);
-        self.sanitizer.barrier_join(pe, 0..self.num_pes(), t);
+        self.sanitizer.barrier_join(pe, group, t);
         self.stream_tick(t);
-        self.arb_clock_moved();
+        self.arb_clock_moved(pe);
         t
     }
 
@@ -975,7 +1156,7 @@ impl Machine {
                     if let Some(fs) = &self.faults {
                         for &g in group {
                             if fs.is_failed(g) {
-                                b.leave();
+                                b.leave(None);
                             }
                         }
                     }
@@ -985,20 +1166,15 @@ impl Machine {
         };
         self.arb_set_quiescent(pe, true);
         // See barrier_all: release clears the group's quiescent flags.
-        let max = self.sched_block(pe, || {
-            barrier.arrive_with(self.clock(pe), &self.poison, || {
-                for &q in group {
-                    self.arb_set_quiescent(q, false);
+        let max =
+            barrier.arrive_with(pe, self.clock(pe), self.sched.as_ref(), &self.poison, || {
+                if let Some(arb) = &self.arbiter {
+                    for &q in group {
+                        arb.quiescent.set(q, false);
+                    }
                 }
-            })
-        });
-        let t = max + extra_ns.round() as u64;
-        self.pes[pe].clock.store(t, Ordering::Release);
-        self.arb_set_quiescent(pe, false);
-        self.sanitizer.barrier_join(pe, group.iter().copied(), t);
-        self.stream_tick(t);
-        self.arb_clock_moved();
-        t
+            });
+        self.barrier_done(pe, max, extra_ns, group.iter().copied())
     }
 
     // ---- compute model ---------------------------------------------------
@@ -1151,13 +1327,31 @@ mod tests {
         });
     }
 
+    /// Run `program` on `cfg` in legacy mode and at worker limits 1, 2 and
+    /// 3, and require bit-identical results, clocks and NIC totals.
+    fn assert_pooled_matches_legacy<R>(
+        cfg: impl Fn() -> MachineConfig,
+        program: impl Fn(crate::machine::Pe<'_>) -> R + Send + Sync,
+    ) where
+        R: Send + PartialEq + std::fmt::Debug,
+    {
+        let legacy = crate::launch::run(cfg().with_workers(0), &program);
+        for w in [1, 2, 3] {
+            let pooled = crate::launch::run(cfg().with_workers(w), &program);
+            assert_eq!(pooled.results, legacy.results, "worker limit {w}");
+            assert_eq!(pooled.clocks, legacy.clocks, "worker limit {w}");
+            assert_eq!(pooled.nics, legacy.nics, "worker limit {w}");
+        }
+    }
+
     #[test]
     fn pooled_scheduler_outcomes_match_legacy() {
         // A contended arbiter workload (tied NIC reservations, barriers,
         // wait_on handoffs) must produce bit-identical outcomes for every
         // worker count — the tentpole invariant.
-        let run_with = |w: usize| {
-            crate::launch::run(generic_smp(4).with_deterministic_nic().with_workers(w), |pe| {
+        assert_pooled_matches_legacy(
+            || generic_smp(4).with_deterministic_nic(),
+            |pe| {
                 let m = pe.machine();
                 let me = pe.id();
                 let r = m.nic_turn(me, 100, || m.nic(0).reserve_tx(100, 10, 1).end);
@@ -1165,31 +1359,133 @@ mod tests {
                 // Ring handoff through wait_on: PE k waits for word k, then
                 // releases PE k+1.
                 if me == 0 {
-                    m.apply_and_notify(1, || {
-                        m.heap(1).atomic64(0).store(1, std::sync::atomic::Ordering::Release)
-                    });
+                    m.apply_and_notify(1, || m.heap(1).atomic64(0).store(1, Ordering::Release));
                 } else {
-                    m.wait_on(me, || {
-                        m.heap(me).atomic64(0).load(std::sync::atomic::Ordering::Acquire) == 1
-                    });
+                    m.wait_on(me, || m.heap(me).atomic64(0).load(Ordering::Acquire) == 1);
                     if me + 1 < pe.n() {
                         m.apply_and_notify(me + 1, || {
-                            m.heap(me + 1)
-                                .atomic64(0)
-                                .store(1, std::sync::atomic::Ordering::Release)
+                            m.heap(me + 1).atomic64(0).store(1, Ordering::Release)
                         });
                     }
                 }
                 m.barrier_all(me, 5.0)
+            },
+        );
+    }
+
+    #[test]
+    fn pooled_group_barrier_rounds_match_legacy() {
+        // Overlapping group barriers between tied NIC reservations: each
+        // round hands its arrivals to the ready queue at once. (Reservations
+        // follow only global barriers: a PE waiting in one group's barrier
+        // counts as quiescent to the arbiter, which is sound only if no
+        // other group can be released past an earlier request.)
+        assert_pooled_matches_legacy(
+            || generic_smp(4).with_deterministic_nic(),
+            |pe| {
+                let m = pe.machine();
+                let me = pe.id();
+                m.advance(me, 10.0 * (4 - me) as f64);
+                let r = m.nic_turn(me, 100, || m.nic(0).reserve_tx(100, 10, 1).end);
+                m.lift_clock(me, r);
+                let evens_odds: &[PeId] = if me % 2 == 0 { &[0, 2] } else { &[1, 3] };
+                let t = m.barrier_group(me, evens_odds, 3.0);
+                let a = m.barrier_all(me, 1.0);
+                let r = m.nic_turn(me, a, || m.nic(0).reserve_tx(a, 10, 1).end);
+                m.lift_clock(me, r);
+                let low_high: &[PeId] = if me < 2 { &[0, 1] } else { &[2, 3] };
+                let u = m.barrier_group(me, low_high, 2.0);
+                (t, u, m.barrier_all(me, 1.0))
+            },
+        );
+    }
+
+    #[test]
+    fn pooled_barrier_completed_by_a_death_matches_legacy() {
+        use crate::fault::FaultPlan;
+        // PEs 0–2 wait in a global barrier; PE 3 crosses its scheduled
+        // death instead of arriving, and its departure completes the round.
+        assert_pooled_matches_legacy(
+            || {
+                generic_smp(4)
+                    .with_deterministic_nic()
+                    .with_faults(FaultPlan::new(1).with_pe_failure(3, 1_000))
+            },
+            |pe| {
+                let m = pe.machine();
+                let me = pe.id();
+                if me == 3 {
+                    m.advance(me, 2_000.0);
+                    return (m.clock(me), 0);
+                }
+                m.advance(me, 100.0 * (me + 1) as f64);
+                let t = m.barrier_all(me, 5.0);
+                let r = m.nic_turn(me, t, || m.nic(0).reserve_tx(t, 10, 1).end);
+                m.lift_clock(me, r);
+                (t, m.barrier_all(me, 5.0))
+            },
+        );
+    }
+
+    #[test]
+    fn poison_reaches_pes_waiting_for_admission_after_a_barrier() {
+        // PE 0 arrives first, so it is admitted first after the round and
+        // panics while the others still wait for a slot: every worker limit
+        // must report PE 0's panic, as legacy mode does, instead of hanging.
+        let run_with = |w: usize| {
+            crate::launch::run_with_result(generic_smp(4).with_workers(w), |pe| {
+                let m = pe.machine();
+                let me = pe.id();
+                m.advance(me, 10.0 * me as f64);
+                m.barrier_all(me, 0.0);
+                if me == 0 {
+                    panic!("boom after the barrier");
+                }
+                m.barrier_all(me, 0.0)
             })
+            .map(|out| out.clocks)
         };
-        let legacy = run_with(0);
+        let legacy = run_with(0).unwrap_err();
+        assert_eq!(legacy.pe, 0);
         for w in [1, 2, 3] {
-            let pooled = run_with(w);
-            assert_eq!(pooled.results, legacy.results, "worker limit {w}");
-            assert_eq!(pooled.clocks, legacy.clocks, "worker limit {w}");
-            assert_eq!(pooled.nics, legacy.nics, "worker limit {w}");
+            let pooled = run_with(w).unwrap_err();
+            assert_eq!(
+                (pooled.pe, &pooled.message),
+                (legacy.pe, &legacy.message),
+                "worker limit {w}"
+            );
         }
+    }
+
+    #[test]
+    fn no_wake_is_lost_on_a_contended_pooled_ring() {
+        // 256 PEs on 16 nodes: every round each PE reserves its node's NIC
+        // (16-way contention under the arbiter), writes its ring neighbour
+        // and meets everyone in a barrier. No arbiter or ready-queue wait
+        // may need its poll tick to make progress.
+        let m = Machine::new(
+            crate::platforms::stampede(16, 16).with_deterministic_nic().with_workers(2),
+        );
+        let out = crate::launch::run_on(m.clone(), |pe| {
+            let m = pe.machine();
+            let me = pe.id();
+            let n = pe.n();
+            for round in 0..6u64 {
+                let start = m.clock(me);
+                let len = 20 + (me as u64 * 7 + round) % 50;
+                let end = m.nic_turn(me, start, || m.nic(pe.node()).reserve_tx(start, len, 64).end);
+                m.lift_clock(me, end);
+                let next = (me + 1) % n;
+                m.apply_and_notify(next, || {
+                    m.heap(next).atomic64(8 * round as usize).store(1, Ordering::Release)
+                });
+                m.barrier_all(me, 50.0);
+            }
+            m.clock(me)
+        })
+        .expect("ring completes");
+        assert!(out.makespan_ns() > 0);
+        assert_eq!(m.lost_wakes(), 0, "a wait needed its poll tick to make progress");
     }
 
     #[test]

@@ -31,9 +31,9 @@
 
 use crate::machine::PeId;
 use crate::sync::{Poison, WAIT_TICK_IDLE, WAIT_TICK_MIN};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The process-wide default worker limit from `PGAS_WORKERS`, read exactly
 /// once (mirroring `PGAS_SANITIZER` / `PGAS_FAULT_PLAN` resolution). Unset,
@@ -77,6 +77,10 @@ struct SchedInner {
     /// Ready PEs waiting for a slot, ordered by `(virtual clock, pe)`.
     /// A PE's clock is frozen while it waits, so keys are stable.
     waiting: BTreeSet<(u64, PeId)>,
+    /// `woken[pe]`: a targeted wake was sent to `pe` since it last went to
+    /// sleep. Only read to tell a timed-out wait that a wake would have
+    /// ended anyway from one that no wake reached (the lost-wake counter).
+    woken: Vec<bool>,
 }
 
 /// Worker-pool state (built only when a worker limit below the PE count was
@@ -95,6 +99,9 @@ pub(crate) struct SchedState {
     /// `holds[pe]`: does `pe`'s thread currently own a slot? Only touched
     /// from `pe`'s own thread; makes release idempotent under unwinding.
     holds: Vec<AtomicBool>,
+    /// Admissions that followed a timed-out wait with no wake sent: each is
+    /// a wake the protocol failed to deliver, repaired by the poll tick.
+    lost_wakes: AtomicU64,
 }
 
 impl SchedState {
@@ -102,19 +109,26 @@ impl SchedState {
         debug_assert!(workers > 0 && workers < n_pes);
         SchedState {
             workers,
-            inner: Mutex::new(SchedInner { running: 0, waiting: BTreeSet::new() }),
+            inner: Mutex::new(SchedInner {
+                running: 0,
+                waiting: BTreeSet::new(),
+                woken: vec![false; n_pes],
+            }),
             cvs: (0..n_pes).map(|_| Condvar::new()).collect(),
             holds: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
+            lost_wakes: AtomicU64::new(0),
         }
     }
 
     /// Wake the minimum ready key if a slot is free for it. Call with the
-    /// `inner` mutex held — notification under the waiter's own mutex
-    /// cannot be lost, which is what lets non-minimum waiters poll lazily.
-    fn wake_min(&self, inner: &SchedInner) {
+    /// `inner` mutex held: every change that can admit a waiter (a freed
+    /// slot, new keys, an admission exposing the next key) happens under
+    /// that mutex and ends here, so a wake cannot be lost.
+    fn wake_min(&self, inner: &mut SchedInner) {
         if inner.running < self.workers {
-            if let Some(&(_, pe)) = inner.waiting.iter().next() {
-                self.cvs[pe].notify_all();
+            if let Some(&(_, pe)) = inner.waiting.first() {
+                inner.woken[pe] = true;
+                self.cvs[pe].notify_one();
             }
         }
     }
@@ -122,6 +136,13 @@ impl SchedState {
     /// The resolved worker limit.
     pub(crate) fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Ready-queue waits that ended by timeout and then admitted with no
+    /// wake sent. Zero unless a wake was lost.
+    #[cfg(test)]
+    pub(crate) fn lost_wakes(&self) -> u64 {
+        self.lost_wakes.load(Ordering::Relaxed)
     }
 
     /// Block until `pe` (ready at virtual time `clock`) is admitted: a slot
@@ -134,26 +155,72 @@ impl SchedState {
         let mut inner = self.inner.lock();
         let inserted = inner.waiting.insert(key);
         debug_assert!(inserted, "a PE waits on at most one ready key at a time");
+        self.admit(inner, key, poison, false);
+    }
+
+    /// Put a batch of ready keys — the arrivals of a completed barrier
+    /// round — into the ready queue at once. Each owner is blocked in
+    /// [`Self::await_handoff`] and is woken only when admitted.
+    pub(crate) fn enqueue(&self, keys: &[(u64, PeId)]) {
+        let mut inner = self.inner.lock();
+        for &key in keys {
+            let inserted = inner.waiting.insert(key);
+            debug_assert!(inserted, "a PE waits on at most one ready key at a time");
+        }
+        self.wake_min(&mut inner);
+    }
+
+    /// Block until `key`, which another thread puts into the ready queue
+    /// with [`Self::enqueue`], is admitted. The caller holds no slot and
+    /// sleeps only on its own condvar, so it is woken once: when admitted.
+    /// Poison panics out of the wait (the caller holds no slot to leak).
+    pub(crate) fn await_handoff(&self, key: (u64, PeId), poison: &Poison) {
+        debug_assert!(!self.holds[key.1].load(Ordering::Relaxed), "PE already holds a slot");
+        self.admit(self.inner.lock(), key, poison, true);
+    }
+
+    /// Wait until `key` is the minimum ready key and a slot is free, then
+    /// take the slot. With `handoff`, the key may not be queued yet (the
+    /// barrier round has not completed) and poison panics instead of
+    /// admitting.
+    fn admit(
+        &self,
+        mut inner: MutexGuard<'_, SchedInner>,
+        key: (u64, PeId),
+        poison: &Poison,
+        handoff: bool,
+    ) {
+        let pe = key.1;
+        let mut timed_out = false;
         loop {
             if poison.is_poisoned() {
                 inner.waiting.remove(&key);
+                if handoff {
+                    drop(inner);
+                    poison.check(); // panics
+                    unreachable!("poison.check() panics when poisoned");
+                }
                 inner.running += 1;
                 break;
             }
-            let min = *inner.waiting.iter().next().expect("own key is waiting");
-            if inner.running < self.workers && min == key {
+            let is_min = inner.waiting.first() == Some(&key);
+            if is_min && inner.running < self.workers {
+                if timed_out && !inner.woken[pe] {
+                    self.lost_wakes.fetch_add(1, Ordering::Relaxed);
+                }
                 inner.waiting.remove(&key);
                 inner.running += 1;
                 break;
             }
-            // Only the minimum key polls eagerly (a slot can free without a
-            // wake reaching us first); everyone else is woken by name when
-            // it becomes the minimum and polls purely as a backstop.
-            let tick = if min == key { WAIT_TICK_MIN } else { WAIT_TICK_IDLE };
-            self.cvs[pe].wait_for(&mut inner, tick);
+            // The minimum key polls eagerly, everyone else lazily; both are
+            // backstops only (see `wake_min`).
+            inner.woken[pe] = false;
+            let tick = if is_min { WAIT_TICK_MIN } else { WAIT_TICK_IDLE };
+            timed_out = self.cvs[pe].wait_for(&mut inner, tick).timed_out();
         }
+        inner.woken[pe] = false;
         // The next-smallest ready key may be admissible too (workers > 1).
-        self.wake_min(&inner);
+        self.wake_min(&mut inner);
         drop(inner);
         self.holds[pe].store(true, Ordering::Relaxed);
     }
@@ -169,7 +236,7 @@ impl SchedState {
         let mut inner = self.inner.lock();
         debug_assert!(inner.running > 0, "release without a held slot");
         inner.running -= 1;
-        self.wake_min(&inner);
+        self.wake_min(&mut inner);
     }
 
     /// Wake all ready-queue waiters so they observe poison.

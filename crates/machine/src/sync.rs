@@ -11,8 +11,10 @@
 //! All waits are poison-aware: if any PE thread panics, the launcher poisons
 //! the machine and every blocked wait panics out instead of hanging.
 
+use crate::machine::PeId;
+use crate::sched::SchedState;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Relaxed polling period for waiters that are *target-notified* when they
@@ -26,12 +28,12 @@ use std::time::Duration;
 pub(crate) const WAIT_TICK_IDLE: Duration = Duration::from_millis(200);
 
 /// Eager polling period for the *designated minimum* waiter in the NIC
-/// arbiter and the worker-pool ready queue. Wakes toward the minimum are
-/// sent lock-free from hot paths (every clock advance), so one can land in
-/// the window between the minimum's predicate check and its re-park and be
-/// lost; the minimum's own poll is what repairs that, and it bounds the
-/// whole grant/admission chain's per-step stall. Exactly one thread per
-/// queue polls at this rate, so the eager tick adds no storm.
+/// arbiter and the worker-pool ready queue. Every wake toward the minimum
+/// is decided under the queue's own mutex (the arbiter's blocker handshake
+/// pairs lock-free clock moves with a `SeqCst` fence), so this poll is a
+/// backstop, not part of the protocol: the crate's lost-wake counter
+/// (`Machine::lost_wakes`) counts the waits it ends with progress. Exactly
+/// one thread per queue polls at this rate, so the eager tick adds no storm.
 pub(crate) const WAIT_TICK_MIN: Duration = Duration::from_millis(1);
 
 /// Shared poison flag: set when any PE panics.
@@ -62,11 +64,13 @@ struct BarrierInner {
     count: usize,
     generation: u64,
     max_clock: u64,
-    /// `max_clock` of the round that most recently completed.
-    result: u64,
     /// Arrivals needed to complete a round. Starts at the group size and
     /// shrinks when a member permanently departs (PE failure).
     expected: usize,
+    /// `(arrival clock, pe)` of every arrival in the current round, kept
+    /// only under a worker pool: the completing arrival hands them to the
+    /// ready queue as one batch.
+    arrivals: Vec<(u64, PeId)>,
 }
 
 /// A reusable clock-combining barrier for a fixed group size.
@@ -74,10 +78,20 @@ struct BarrierInner {
 /// Members can permanently [`ClockBarrier::leave`] the group (scheduled PE
 /// failures do); the remaining members then complete rounds among themselves
 /// instead of hanging.
+///
+/// Under a worker pool a round does not wake its waiters itself: the
+/// completing arrival (or departure) puts every arrival's `(clock, pe)` key
+/// into the scheduler's ready queue in one batch, and each waiter sleeps on
+/// its own scheduler condvar until it is admitted — one wake per waiter.
+/// Without a pool the waiters sleep on the barrier's condvar and the round
+/// releases them all at once.
 #[derive(Debug)]
 pub struct ClockBarrier {
     inner: Mutex<BarrierInner>,
     cv: Condvar,
+    /// `max_clock` of the round that most recently completed. Written under
+    /// `inner` before the round's waiters are released, read by them after.
+    result: AtomicU64,
     n: usize,
 }
 
@@ -89,10 +103,11 @@ impl ClockBarrier {
                 count: 0,
                 generation: 0,
                 max_clock: 0,
-                result: 0,
                 expected: n,
+                arrivals: Vec::new(),
             }),
             cv: Condvar::new(),
+            result: AtomicU64::new(0),
             n,
         }
     }
@@ -102,59 +117,89 @@ impl ClockBarrier {
         self.n
     }
 
-    /// Complete the current round: publish the combined clock and wake the
-    /// waiters. Caller holds the lock and has checked `count == expected`.
-    fn finish_round(&self, inner: &mut BarrierInner) -> u64 {
-        let result = inner.max_clock;
-        inner.result = result;
+    /// Complete the current round: publish the combined clock and release
+    /// the waiters — through the ready queue under a worker pool, by the
+    /// barrier condvar otherwise. Caller holds the lock and has checked
+    /// `count == expected`.
+    fn finish_round(&self, inner: &mut BarrierInner, sched: Option<&SchedState>) {
+        self.result.store(inner.max_clock, Ordering::Release);
         inner.count = 0;
         inner.max_clock = 0;
         inner.generation = inner.generation.wrapping_add(1);
-        self.cv.notify_all();
-        result
+        match sched {
+            Some(s) => {
+                s.enqueue(&inner.arrivals);
+                inner.arrivals.clear();
+            }
+            None => {
+                self.cv.notify_all();
+            }
+        }
     }
 
     /// Arrive with the caller's current virtual clock; returns the maximum
     /// clock across the group for this round.
     pub fn arrive(&self, my_clock: u64, poison: &Poison) -> u64 {
-        self.arrive_with(my_clock, poison, || {})
+        self.arrive_with(0, my_clock, None, poison, || {})
     }
 
-    /// Like [`Self::arrive`], but the arrival that completes the round runs
-    /// `on_release` *while still holding the barrier lock, before waking the
-    /// waiters*. The NIC arbiter uses this to clear every participant's
+    /// Like [`Self::arrive`], for PE `pe` of a machine with worker pool
+    /// `sched` (if any): the caller's slot is given up on arrival and held
+    /// again on return. The arrival that completes the round runs
+    /// `on_release` *while still holding the barrier lock, before releasing
+    /// the waiters*. The NIC arbiter uses this to clear every participant's
     /// quiescent flag atomically with the release: if each waiter cleared its
     /// own flag after waking, a still-unscheduled waiter would look quiescent
     /// to the arbiter while logically already released, and an out-of-order
     /// reservation could be granted. (Rounds completed by [`Self::leave`]
     /// skip the hook — PE failure already forfeits strict ordering.)
-    pub fn arrive_with(&self, my_clock: u64, poison: &Poison, on_release: impl FnOnce()) -> u64 {
+    pub(crate) fn arrive_with(
+        &self,
+        pe: PeId,
+        my_clock: u64,
+        sched: Option<&SchedState>,
+        poison: &Poison,
+        on_release: impl FnOnce(),
+    ) -> u64 {
+        if let Some(s) = sched {
+            s.release(pe);
+        }
         let mut inner = self.inner.lock();
         inner.max_clock = inner.max_clock.max(my_clock);
         inner.count += 1;
         debug_assert!(inner.count <= inner.expected, "more arrivals than live members");
+        if sched.is_some() {
+            inner.arrivals.push((my_clock, pe));
+        }
         if inner.count == inner.expected {
             on_release();
-            self.finish_round(&mut inner)
-        } else {
+            self.finish_round(&mut inner, sched);
+        } else if sched.is_none() {
             let gen = inner.generation;
             while inner.generation == gen {
                 poison.check();
                 self.cv.wait_for(&mut inner, WAIT_TICK_IDLE);
             }
-            inner.result
         }
+        drop(inner);
+        if let Some(s) = sched {
+            s.await_handoff((my_clock, pe), poison);
+        }
+        // The next round cannot complete without this member's arrival, so
+        // `result` still holds this round's value.
+        self.result.load(Ordering::Acquire)
     }
 
     /// Permanently remove one member (a failed PE) from the group. If the
     /// remaining members have all already arrived, the pending round
-    /// completes immediately instead of waiting for the dead member.
-    pub fn leave(&self) {
+    /// completes immediately instead of waiting for the dead member, and its
+    /// arrivals are released through `sched` as in [`Self::arrive_with`].
+    pub(crate) fn leave(&self, sched: Option<&SchedState>) {
         let mut inner = self.inner.lock();
         assert!(inner.expected > 0, "leave() on an empty barrier group");
         inner.expected -= 1;
         if inner.count > 0 && inner.count == inner.expected {
-            self.finish_round(&mut inner);
+            self.finish_round(&mut inner, sched);
         }
     }
 
@@ -334,7 +379,7 @@ mod tests {
             handles.push(std::thread::spawn(move || b.arrive(clock, &p)));
         }
         std::thread::sleep(Duration::from_millis(20));
-        b.leave();
+        b.leave(None);
         for h in handles {
             assert_eq!(h.join().unwrap(), 250);
         }
@@ -350,7 +395,7 @@ mod tests {
     fn leave_before_any_arrival_shrinks_future_rounds() {
         let b = ClockBarrier::new(2);
         let poison = Poison::default();
-        b.leave();
+        b.leave(None);
         // A solo arrival now completes instantly.
         assert_eq!(b.arrive(42, &poison), 42);
     }
