@@ -134,6 +134,12 @@ impl PendingSet {
         self.puts.len()
     }
 
+    /// Outstanding put obligations as `(dst, offset, len, remote_complete)`.
+    #[cfg(test)]
+    pub(crate) fn put_spans(&self) -> Vec<(PeId, usize, usize, u64)> {
+        self.puts.iter().map(|p| (p.dst, p.offset, p.len, p.remote_complete)).collect()
+    }
+
     /// Drop all completion obligations (after `quiet`). Floors are also
     /// cleared: quiet is strictly stronger than fence.
     pub fn clear(&mut self) {

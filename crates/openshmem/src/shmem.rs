@@ -350,7 +350,10 @@ impl<'m> Shmem<'m> {
             nelems,
             dst.count()
         );
-        let bytes = to_bytes(src);
+        // Convert only the addressed extent; a short slice stays short, so
+        // the conduit's length assert still reports it.
+        let extent = ((nelems - 1) * sst + 1).min(src.len());
+        let bytes = to_bytes(&src[..extent]);
         self.ctx.iput(dest_pe, dst.offset(), tst, &bytes, T::BYTES, sst, nelems);
     }
 
@@ -369,6 +372,8 @@ impl<'m> Shmem<'m> {
             return;
         }
         assert!((nelems - 1) * sst < src.count(), "iget overruns source");
+        let extent = ((nelems - 1) * tst + 1).min(out.len());
+        let out = &mut out[..extent];
         let mut buf = to_bytes(out);
         self.ctx.iget(src_pe, src.offset(), sst, &mut buf, T::BYTES, tst, nelems);
         from_bytes(&buf, out);
@@ -796,6 +801,64 @@ mod tests {
         for r in out.results {
             assert_eq!(r, [0, 3, 6, 9]);
         }
+    }
+
+    #[test]
+    fn strided_calls_touch_only_the_addressed_extent() {
+        // Five f32 elements at source stride 2 need 9 source slots; a
+        // 20-slot slice must move the same elements, and an iget into a
+        // 20-slot buffer must leave the gaps and the tail alone.
+        let out = run(cfg(), |pe| {
+            let shmem = mk(pe);
+            let arr = shmem.shmalloc::<f32>(32).unwrap();
+            shmem.write_local(arr, &[0.0; 32]);
+            shmem.barrier_all();
+            let src: Vec<f32> = (0..20).map(|i| i as f32 + 0.5).collect();
+            if shmem.my_pe() == 0 {
+                shmem.iput(arr.at(1), 3, &src[..9], 2, 5, 1);
+                shmem.iput(arr.at(2), 3, &src, 2, 5, 2);
+                shmem.quiet();
+            }
+            shmem.barrier_all();
+            let mut exact = [0.0f32; 32];
+            shmem.get(arr, &mut exact, 1);
+            let mut long = [0.0f32; 32];
+            shmem.get(arr, &mut long, 2);
+            let mut gathered = vec![-1.0f32; 20];
+            shmem.iget(arr.at(1), 3, &mut gathered, 2, 5, 1);
+            (exact, long, gathered)
+        });
+        for (exact, long, gathered) in out.results {
+            for i in 0..5 {
+                assert_eq!(exact[1 + 3 * i], i as f32 * 2.0 + 0.5);
+            }
+            assert_eq!(exact[..31], long[1..], "same elements, one slot over");
+            let expect: Vec<f32> =
+                (0..20).map(|j| if j % 2 == 0 && j < 10 { j as f32 + 0.5 } else { -1.0 }).collect();
+            assert_eq!(gathered, expect);
+        }
+    }
+
+    #[test]
+    fn short_strided_slices_still_fail_the_conduit_length_checks() {
+        let put = pgas_machine::run_with_result(cfg(), |pe| {
+            let shmem = mk(pe);
+            let arr = shmem.shmalloc::<f32>(32).unwrap();
+            if shmem.my_pe() == 0 {
+                shmem.iput(arr, 3, &[1.0; 8], 2, 5, 1);
+            }
+        });
+        let msg = put.expect_err("a short source must panic").message;
+        assert!(msg.contains("source slice too short for iput"), "got: {msg}");
+        let get = pgas_machine::run_with_result(cfg(), |pe| {
+            let shmem = mk(pe);
+            let arr = shmem.shmalloc::<f32>(32).unwrap();
+            if shmem.my_pe() == 0 {
+                shmem.iget(arr, 3, &mut [0.0; 8], 2, 5, 1);
+            }
+        });
+        let msg = get.expect_err("a short output must panic").message;
+        assert!(msg.contains("output slice too short for iget"), "got: {msg}");
     }
 
     #[test]
