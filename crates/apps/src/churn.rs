@@ -583,7 +583,7 @@ mod tests {
         assert_eq!(r.stats.pe_failures, 1);
         let paths = out.req_paths();
         assert!(!paths.is_empty(), "every direct update is a tracked request");
-        for p in &paths {
+        for p in paths {
             // Closed-loop updates: arrival == begin, so queue-wait is zero
             // and the phase tiling covers the whole service time exactly.
             assert_eq!(p.phase_ns[ReqPhase::QueueWait as usize], 0, "{p:?}");

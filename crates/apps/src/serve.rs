@@ -26,23 +26,33 @@
 //! original arrival time, so the outage shows up as a latency spike in the
 //! windowed series rather than as silent loss.
 //!
-//! Every completion lands in the machine's windowed metrics
-//! (`serve_latency_ns`, `serve_queue_ns`, `serve_requests`) keyed by the
+//! Every observed completion lands in the machine's windowed metrics
+//! ([`LATENCY_METRIC`], `serve_queue_ns`, `serve_requests`, and
+//! [`VIOLATIONS_COUNTER`] when it misses the SLO threshold) keyed by the
 //! completion instant, which is what the SLO layer's burn-rate windows and
 //! the `serving_slo` figure consume. Under tracing, request markers thread
-//! request ids through every span for per-request latency decomposition.
+//! request ids through every span, and each observed completion — and only
+//! it — leaves one tiled request record.
 
 use caf::{run_caf, Backend, CafConfig, CafTeam};
 use openshmem::{AmHandler, AmTarget, ConduitError};
 use pgas_machine::slo::{SloReport, SloSpec};
 use pgas_machine::stats::StatsSnapshot;
 use pgas_machine::tailprof::{TailAttribution, DEFAULT_EXEMPLARS};
-use pgas_machine::Platform;
+use pgas_machine::{Machine, Platform};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 
 use crate::dht::DhtUpdateMode;
+
+/// Windowed histogram of end-to-end request latency (arrival to
+/// completion), the series the serving SLO is judged on.
+pub const LATENCY_METRIC: &str = "serve_latency_ns";
+/// Windowed counter of completions over the SLO threshold: the SLO layer's
+/// violation count for [`LATENCY_METRIC`]
+/// (`pgas_machine::slo::violations_counter`).
+pub const VIOLATIONS_COUNTER: &str = "serve_latency_ns_violations";
 
 /// Team number the serving workers form (and re-form) under — same
 /// protocol constants as the churn app.
@@ -105,7 +115,22 @@ impl ServeConfig {
     /// The SLO this workload is served under, ready for
     /// [`SloSpec::evaluate`] against the run's metrics snapshot.
     pub fn slo_spec(&self) -> SloSpec {
-        SloSpec::new("serve-latency", "serve_latency_ns", self.slo_threshold_ns, self.slo_objective)
+        SloSpec::new("serve-latency", LATENCY_METRIC, self.slo_threshold_ns, self.slo_objective)
+    }
+}
+
+/// Observe one completed request on `pe`: close its trace record and feed
+/// the windowed latency, queue-wait, throughput and violation series at the
+/// completion instant `end`.
+fn complete(m: &Machine, pe: usize, cfg: &ServeConfig, arrival: u64, begin: u64, end: u64) {
+    m.tracer().end_request(pe, end);
+    let mx = m.metrics();
+    let latency = end - arrival;
+    mx.observe_windowed(pe, LATENCY_METRIC, None, end, latency);
+    mx.observe_windowed(pe, "serve_queue_ns", None, end, begin - arrival);
+    mx.count_windowed(pe, "serve_requests", None, end, 1);
+    if latency > cfg.slo_threshold_ns {
+        mx.count_windowed(pe, VIOLATIONS_COUNTER, None, end, 1);
     }
 }
 
@@ -547,10 +572,10 @@ pub fn run_serve_outcome(
                         };
                         pe.compute_ops(20); // hashing + bookkeeping
                         let end = pe.now();
-                        m.tracer().end_request(pe_id, end);
                         if !ok {
                             // Died between the probe and delivery: park for
-                            // the recovery drain.
+                            // the recovery drain, which observes it later.
+                            m.tracer().cancel_request(pe_id);
                             parked.push(Parked {
                                 id,
                                 arrival_ns: spec.arrival_ns,
@@ -567,22 +592,7 @@ pub fn run_serve_outcome(
                             o.reads += 1;
                         }
                         done += 1;
-                        let mx = m.metrics();
-                        mx.observe_windowed(
-                            pe_id,
-                            "serve_latency_ns",
-                            None,
-                            end,
-                            end - spec.arrival_ns,
-                        );
-                        mx.observe_windowed(
-                            pe_id,
-                            "serve_queue_ns",
-                            None,
-                            end,
-                            begin - spec.arrival_ns,
-                        );
-                        mx.count_windowed(pe_id, "serve_requests", None, end, 1);
+                        complete(m, pe_id, &cfg, spec.arrival_ns, begin, end);
                     }
                 });
             }
@@ -632,9 +642,8 @@ pub fn run_serve_outcome(
                             Err(()) => false,
                         }
                     };
-                    let end = pe.now();
-                    m.tracer().end_request(pe_id, end);
                     if !ok {
+                        m.tracer().cancel_request(pe_id);
                         o.dropped += 1;
                         continue;
                     }
@@ -645,10 +654,7 @@ pub fn run_serve_outcome(
                         o.reads += 1;
                     }
                     o.drained += 1;
-                    let mx = m.metrics();
-                    mx.observe_windowed(pe_id, "serve_latency_ns", None, end, end - p.arrival_ns);
-                    mx.observe_windowed(pe_id, "serve_queue_ns", None, end, begin - p.arrival_ns);
-                    mx.count_windowed(pe_id, "serve_requests", None, end, 1);
+                    complete(m, pe_id, &cfg, p.arrival_ns, begin, pe.now());
                 }
                 shard_map = new_map;
                 reformed = true;
@@ -806,6 +812,11 @@ mod tests {
     }
 
     #[test]
+    fn violation_counter_is_the_slo_counter_of_the_latency_metric() {
+        assert_eq!(pgas_machine::slo::violations_counter(LATENCY_METRIC), VIOLATIONS_COUNTER);
+    }
+
+    #[test]
     fn zipf_sampling_is_skewed_and_in_range() {
         let zipf = Zipf::new(1_000, 1.2);
         let mut rng = SmallRng::seed_from_u64(42);
@@ -921,6 +932,39 @@ mod tests {
     }
 
     #[test]
+    fn traced_failed_attempts_leave_no_record() {
+        // Worker PE 4 dies at 13 µs. Under the deterministic NIC a request
+        // reaches that home just after the death, fails, is parked and is
+        // drained later under the same id: only the drained completion is
+        // observed, so only it leaves a record.
+        let cfg = ServeConfig { slo_threshold_ns: 30_000, ..small() };
+        let plan = FaultPlan::new(cfg.seed).with_pe_failure(4, 13_000);
+        let (r, out) = pgas_machine::with_forced_tracing(true, || {
+            with_forced_aggregation(true, || {
+                with_forced_plan(plan, || {
+                    run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true)
+                })
+            })
+        });
+        let begin_of: std::collections::BTreeMap<u64, u64> =
+            out.requests.iter().map(|q| (q.id, q.begin_ns)).collect();
+        assert_eq!(begin_of.len(), out.requests.len(), "one record per request id");
+        // A span tagged before its request's recorded begin (or of a request
+        // with no record) belongs to a failed attempt.
+        let failed = out
+            .trace
+            .iter()
+            .filter(|s| s.req != 0)
+            .any(|s| begin_of.get(&s.req).is_none_or(|&begin| s.begin < begin));
+        assert!(failed, "the scenario exercises a failed first attempt");
+        assert_eq!(out.requests.len() as u64, r.slo.total_count, "records == observed");
+        let tail = r.tail.as_ref().expect("traced");
+        for w in &r.slo.windows {
+            assert_eq!(w.violations, tail.profile_at(w.window).map_or(0, |p| p.slow));
+        }
+    }
+
+    #[test]
     fn traced_failure_run_attributes_its_tail() {
         let cfg = ServeConfig { slo_threshold_ns: 30_000, ..small() };
         let plan = failure_plan(&cfg);
@@ -938,6 +982,15 @@ mod tests {
             assert!(prof.slow > 0, "the profile saw the slow requests");
         }
         assert!(violated > 0, "the outage violates at least one window");
+        // The SLO windows and the tail profiles count the same requests:
+        // every observed completion, and nothing else, is both a metric
+        // sample and a traced record.
+        for w in &r.slo.windows {
+            let slow = tail.profile_at(w.window).map_or(0, |p| p.slow);
+            assert_eq!(w.violations, slow, "window {} violations vs traced slow", w.window);
+        }
+        let traced: u64 = tail.profiles.iter().map(|p| p.count).sum();
+        assert_eq!(traced, r.slo.total_count, "one record per observed completion");
         // Raised alerts carry exemplars: the k worst request ids in the
         // trailing burn span, each over threshold with a named cause.
         for a in r.slo.alerts.iter().filter(|a| a.raised) {

@@ -2,7 +2,8 @@
 //! The arrival schedule is fixed before the run starts, every admission
 //! decision branches on the virtual clock, and completions land in
 //! virtual-time windows — so for any drawn seed the same config must
-//! produce a bit-identical per-request log ([`RequestLog`]), windowed
+//! produce bit-identical request records ([`ReqRecord`], phase tilings
+//! included), windowed
 //! metrics snapshot and SLO report run to run AND across scheduler worker
 //! counts {1, 8} under the deterministic NIC. The property must also hold
 //! under a transient-drop fault plan (`drop1`): retries stretch latencies,
@@ -14,7 +15,7 @@ use caf_apps::DhtUpdateMode;
 use pgas_machine::metrics::MetricsSnapshot;
 use pgas_machine::{
     with_forced_metrics, with_forced_mode, with_forced_plan, with_forced_tracing,
-    with_forced_workers, FaultPlan, Platform, RequestLog,
+    with_forced_workers, FaultPlan, Platform, ReqRecord,
 };
 use proptest::prelude::*;
 
@@ -24,7 +25,7 @@ fn serving_run(
     workers: usize,
     cfg: ServeConfig,
     plan: FaultPlan,
-) -> (ServeResult, Vec<RequestLog>, MetricsSnapshot, String) {
+) -> (ServeResult, Vec<ReqRecord>, MetricsSnapshot, String) {
     with_forced_tracing(true, || {
         with_forced_metrics(true, || {
             with_forced_mode(SanitizerMode::Off, || {
@@ -32,7 +33,7 @@ fn serving_run(
                     with_forced_plan(plan, || {
                         let (r, out) =
                             run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true);
-                        let log = out.request_log();
+                        let log = out.req_paths().to_vec();
                         let slo_json = r.slo.to_json().pretty();
                         (r, log, out.metrics, slo_json)
                     })
@@ -67,7 +68,7 @@ proptest! {
         let plan = FaultPlan::new(cfg.seed);
         let (r1, l1, m1, s1) = serving_run(1, cfg, plan.clone());
         let (r8, l8, m8, s8) = serving_run(8, cfg, plan.clone());
-        prop_assert_eq!(&l1, &l8, "worker count must be invisible in the request log");
+        prop_assert_eq!(&l1, &l8, "worker count must be invisible in the request records");
         prop_assert_eq!(&m1, &m8, "worker count must be invisible in the windowed metrics");
         prop_assert_eq!(&s1, &s8, "worker count must be invisible in the SLO report");
         prop_assert_eq!(r1.slo.windows, r8.slo.windows);
@@ -90,15 +91,11 @@ proptest! {
         prop_assert_eq!(&l1, &l1b, "same seed must reproduce bit-identically");
         prop_assert_eq!(&m1, &m1b);
         prop_assert_eq!(&s1, &s1b);
-        // The log is complete: one entry per completed request, and the
-        // decomposition always sums back to the end-to-end latency.
+        // The records are complete: one per completed request, and the
+        // phase tiling always sums back to the end-to-end latency.
         prop_assert_eq!(l1.len() as u64, r1.completed + r1.drained);
         for req in &l1 {
-            prop_assert_eq!(
-                req.queue_wait_ns + req.wire_ns + req.nic_contention_ns
-                    + req.fault_delay_ns + req.service_ns,
-                req.total_ns()
-            );
+            prop_assert_eq!(req.phase_ns.iter().sum::<u64>(), req.total_ns());
         }
     }
 

@@ -16,9 +16,9 @@ use caf_apps::{run_himeno_outcome, HimenoConfig};
 use pgas_conduit::ConduitProfile;
 use pgas_machine::critdiff::RunDigest;
 use pgas_machine::json::Json;
-use pgas_machine::tailprof::{ReqPathReport, REQ_PHASES};
 use pgas_machine::{
     with_forced_metrics, with_forced_tracing, CriticalPathReport, MetricsSnapshot, Platform,
+    ReqRecord,
 };
 
 /// The distilled outcome of one probe run.
@@ -28,11 +28,12 @@ pub struct ProbeOutcome {
     pub platform: String,
     pub report: CriticalPathReport,
     pub metrics: MetricsSnapshot,
-    /// Per-request critical paths (empty for figures without request
-    /// markers): the serving/churn anchors' digests gain the request-phase
-    /// table from these, so `bench regress` attributes a tail regression
-    /// to queue-wait vs wire vs fault-delay instead of just "slower".
-    pub req_paths: Vec<ReqPathReport>,
+    /// Request records with their phase tilings (empty for figures without
+    /// request markers): the serving/churn anchors' digests gain the
+    /// request-phase table from these, so `bench regress` attributes a tail
+    /// regression to queue-wait vs wire vs fault-delay instead of just
+    /// "slower".
+    pub req_paths: Vec<ReqRecord>,
 }
 
 impl ProbeOutcome {
@@ -45,29 +46,8 @@ impl ProbeOutcome {
     /// tail evidence when the probe's app marks requests).
     pub fn sidecar_json(&self) -> Json {
         let mut j = self.report.to_sidecar_json();
-        if !self.req_paths.is_empty() {
-            let mut phase_ns = [0u64; 6];
-            for p in &self.req_paths {
-                for (acc, ns) in phase_ns.iter_mut().zip(p.phase_ns) {
-                    *acc += ns;
-                }
-            }
-            let requests = Json::Object(vec![
-                ("count".to_string(), Json::uint(self.req_paths.len())),
-                (
-                    "phase_ns".to_string(),
-                    Json::Object(
-                        REQ_PHASES
-                            .iter()
-                            .zip(phase_ns)
-                            .map(|(ph, ns)| (ph.label().to_string(), Json::uint(ns as usize)))
-                            .collect(),
-                    ),
-                ),
-            ]);
-            if let Json::Object(fields) = &mut j {
-                fields.push(("requests".to_string(), requests));
-            }
+        if let (Json::Object(fields), Some(requests)) = (&mut j, self.digest().requests_json()) {
+            fields.push(("requests".to_string(), requests));
         }
         j
     }
@@ -80,7 +60,7 @@ fn probe<R: Send>(f: impl FnOnce() -> pgas_machine::SimOutcome<R>) -> ProbeOutco
         platform: out.machine.clone(),
         report: out.critical_path(),
         metrics: out.metrics.clone(),
-        req_paths: out.req_paths(),
+        req_paths: out.requests,
     }
 }
 

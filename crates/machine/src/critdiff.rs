@@ -20,7 +20,8 @@ use std::collections::BTreeMap;
 use crate::critpath::{CriticalPathReport, PathCategory, CATEGORIES};
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
-use crate::tailprof::{ReqPathReport, ReqPhase, REQ_PHASES};
+use crate::tailprof::{ReqPhase, REQ_PHASES};
+use crate::trace::ReqRecord;
 
 /// Histogram series worth baselining: every op-kind latency series the
 /// conduit records, plus queue wait, payload sizes and the planner's
@@ -90,7 +91,7 @@ pub struct RunDigest {
     /// format, which parses and serializes unchanged).
     pub req_count: u64,
     /// Request-phase latency totals over all served requests, in
-    /// [`REQ_PHASES`] order (see `tailprof::req_paths`).
+    /// [`REQ_PHASES`] order (see `trace::ReqRecord`).
     pub req_phase_ns: [u64; 6],
 }
 
@@ -100,14 +101,14 @@ impl RunDigest {
         RunDigest::from_run_with_requests(report, metrics, &[])
     }
 
-    /// [`RunDigest::from_run`] plus per-request path reports: serving runs
+    /// [`RunDigest::from_run`] plus the run's request records: serving runs
     /// additionally baseline their request-phase latency totals, so a diff
     /// between two serving span graphs attributes the makespan delta per
     /// request-phase category.
     pub fn from_run_with_requests(
         report: &CriticalPathReport,
         metrics: &MetricsSnapshot,
-        requests: &[ReqPathReport],
+        requests: &[ReqRecord],
     ) -> RunDigest {
         let mut category_ns = [0u64; 5];
         let mut by_pe: BTreeMap<(usize, PathCategory), u64> = BTreeMap::new();
@@ -169,23 +170,28 @@ impl RunDigest {
             ("by_pe".to_string(), Json::Array(by_pe)),
             ("metrics".to_string(), Json::Array(metrics)),
         ];
-        // Only serving runs carry the request block, so baselines of
-        // request-free figures stay byte-identical with the old format.
-        if self.req_count > 0 {
-            let phases = REQ_PHASES
-                .iter()
-                .zip(self.req_phase_ns)
-                .map(|(p, ns)| (p.label().to_string(), Json::uint(ns as usize)))
-                .collect();
-            fields.push((
-                "requests".to_string(),
-                Json::Object(vec![
-                    ("count".to_string(), Json::uint(self.req_count as usize)),
-                    ("phase_ns".to_string(), Json::Object(phases)),
-                ]),
-            ));
+        if let Some(requests) = self.requests_json() {
+            fields.push(("requests".to_string(), requests));
         }
         Json::Object(fields)
+    }
+
+    /// The request block: served-request count and phase totals. Only
+    /// serving runs carry it, so baselines of request-free figures stay
+    /// byte-identical with the old format.
+    pub fn requests_json(&self) -> Option<Json> {
+        if self.req_count == 0 {
+            return None;
+        }
+        let phases = REQ_PHASES
+            .iter()
+            .zip(self.req_phase_ns)
+            .map(|(p, ns)| (p.label().to_string(), Json::uint(ns as usize)))
+            .collect();
+        Some(Json::Object(vec![
+            ("count".to_string(), Json::uint(self.req_count as usize)),
+            ("phase_ns".to_string(), Json::Object(phases)),
+        ]))
     }
 
     /// Parse a digest previously written by [`RunDigest::to_json`].
@@ -722,7 +728,7 @@ mod tests {
     fn request_phase_deltas_attribute_serving_regressions() {
         let r = report(&[(0, PathCategory::Compute, 0, 1000)]);
         let m = snap(&[]);
-        let req = |phase_ns: [u64; 6]| ReqPathReport {
+        let req = |phase_ns: [u64; 6]| ReqRecord {
             id: (1 << 32) | 1,
             pe: 0,
             arrival_ns: 0,
@@ -730,10 +736,8 @@ mod tests {
             end_ns: phase_ns.iter().sum(),
             phase_ns,
         };
-        let base =
-            RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 0, 300])]);
-        let cand =
-            RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 400, 300])]);
+        let base = RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 0, 300])]);
+        let cand = RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 400, 300])]);
         // Self-diff of a serving digest is exactly zero.
         assert!(CritDiff::between(&base, &base).is_zero());
         // The fault-delay growth is attributed to its phase.
@@ -753,8 +757,8 @@ mod tests {
         let back = RunDigest::from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(cand, back);
         assert!(!old.to_json().pretty().contains("\"requests\""));
-        let old_back = RunDigest::from_json(&crate::json::parse(&old.to_json().pretty()).unwrap())
-            .unwrap();
+        let old_back =
+            RunDigest::from_json(&crate::json::parse(&old.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(old, old_back);
     }
 

@@ -13,18 +13,80 @@
 //!   up, and waits on remote flags;
 //! - **fault delay** — injected-fault detection timeouts and retry backoff.
 //!
-//! The walk runs **backwards** from the PE that finished last. At a barrier
-//! it hops to the *last arriver* (the PE that actually gated the barrier); at
-//! a quiet it pairs the wait with the flow whose remote completion bounded it
-//! and splits that flow's queue time out as NIC contention. The emitted
-//! segments tile `[0, makespan]` exactly — by construction the category
-//! totals sum to the run's total virtual time, which is the invariant the
-//! acceptance tests check.
+//! The module holds the one backward span walker ([`walk`]) and the one
+//! span classifier behind it; the per-request latency tiling of
+//! [`crate::tailprof`] runs the same walk over one request's spans. The walk
+//! runs **backwards** from the end of an interval, always charging the
+//! innermost span covering the cursor. For the whole run it starts on the PE
+//! that finished last and, at a barrier, hops to the *last arriver* (the PE
+//! that actually gated the barrier); at a quiet it pairs the wait with the
+//! flow whose remote completion bounded it and splits that flow's queue time
+//! out as NIC contention. The emitted segments tile `[0, makespan]` exactly
+//! — by construction the category totals sum to the run's total virtual
+//! time, which is the invariant the acceptance tests check.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::trace::{Span, SpanKind};
+
+/// One phase of a request's latency — and, through [`PathCategory::of`],
+/// of the run's critical path. The classifier charges every walked slice
+/// to one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ReqPhase {
+    /// Admitted (open-loop arrival) but the serving PE had not started yet.
+    QueueWait,
+    /// NIC lane occupancy of the ops the request issued.
+    Wire,
+    /// Time the request's ops waited behind earlier traffic on the NICs.
+    NicContention,
+    /// Barriers, waits, and completion stalls not bounded by a known flow.
+    Synchronization,
+    /// Fault detection timeouts and retry backoff.
+    FaultDelay,
+    /// The serving PE's own compute, plus any untraced residue.
+    HandlerCompute,
+}
+
+/// Every phase, in presentation (and tie-break) order.
+pub const REQ_PHASES: [ReqPhase; 6] = [
+    ReqPhase::QueueWait,
+    ReqPhase::Wire,
+    ReqPhase::NicContention,
+    ReqPhase::Synchronization,
+    ReqPhase::FaultDelay,
+    ReqPhase::HandlerCompute,
+];
+
+impl ReqPhase {
+    pub fn label(self) -> &'static str {
+        match self {
+            ReqPhase::QueueWait => "queue_wait",
+            ReqPhase::Wire => "wire",
+            ReqPhase::NicContention => "nic_contention",
+            ReqPhase::Synchronization => "synchronization",
+            ReqPhase::FaultDelay => "fault_delay",
+            ReqPhase::HandlerCompute => "handler_compute",
+        }
+    }
+
+    pub fn parse(s: &str) -> Option<ReqPhase> {
+        REQ_PHASES.into_iter().find(|p| p.label() == s)
+    }
+
+    /// The phase holding the most time in `phase_ns` ([`REQ_PHASES`]
+    /// order; ties break in that order).
+    pub fn dominant(phase_ns: &[u64; 6]) -> ReqPhase {
+        let mut best = 0usize;
+        for (i, &v) in phase_ns.iter().enumerate() {
+            if v > phase_ns[best] {
+                best = i;
+            }
+        }
+        REQ_PHASES[best]
+    }
+}
 
 /// Attribution category for a slice of the critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -59,6 +121,20 @@ impl PathCategory {
     /// Inverse of [`PathCategory::label`], for reading serialized reports.
     pub fn parse(s: &str) -> Option<PathCategory> {
         CATEGORIES.iter().copied().find(|c| c.label() == s)
+    }
+
+    /// The category of a walked slice. The walker charges gaps and compute
+    /// spans to handler compute and never emits queue wait (that is the
+    /// open-loop backlog before a request's walk begins).
+    pub fn of(phase: ReqPhase) -> PathCategory {
+        match phase {
+            ReqPhase::HandlerCompute => PathCategory::Compute,
+            ReqPhase::Wire => PathCategory::Wire,
+            ReqPhase::NicContention => PathCategory::NicContention,
+            ReqPhase::Synchronization => PathCategory::Synchronization,
+            ReqPhase::FaultDelay => PathCategory::FaultDelay,
+            ReqPhase::QueueWait => unreachable!("the span walker never emits queue wait"),
+        }
     }
 }
 
@@ -209,14 +285,190 @@ impl CriticalPathReport {
     }
 }
 
-struct PeSpans {
-    /// Sorted by `(begin, id)`.
+/// Is `s` a flow a quiet can pair with: a transfer with a known remote
+/// completion instant?
+pub(crate) fn is_flow(s: &Span) -> bool {
+    matches!(s.kind, SpanKind::Put | SpanKind::Get | SpanKind::Amo) && s.remote_end > 0
+}
+
+/// One PE's spans sorted by `(begin, id)`, with the running max of their
+/// ends so the walker finds gaps without scanning.
+pub(crate) struct Lane {
     spans: Vec<Span>,
-    /// `prefix_max_end[i]` = max end over `spans[0..=i]`.
     prefix_max_end: Vec<u64>,
 }
 
-/// Extract the critical path from a run's spans and final clocks.
+impl Lane {
+    pub(crate) fn new(mut spans: Vec<Span>) -> Lane {
+        spans.sort_by_key(|s| (s.begin, s.id));
+        let mut reach = 0u64;
+        let prefix_max_end = spans
+            .iter()
+            .map(|s| {
+                reach = reach.max(s.end);
+                reach
+            })
+            .collect();
+        Lane { spans, prefix_max_end }
+    }
+}
+
+/// The span set a [`walk`] runs over.
+pub(crate) trait SpanSet {
+    /// The spans of `pe` the walk may charge.
+    fn lane(&self, pe: usize) -> &Lane;
+    /// Queue wait of the flow issued on `pe` that landed at `remote_end` —
+    /// the flow a quiet with that completion target waited on.
+    fn flow_queue(&self, pe: usize, remote_end: u64) -> Option<u64>;
+    /// `(arrival, pe)` of every barrier span completing at `end`; asked
+    /// only by walks that may hop.
+    fn barrier_arrivals(&self, end: u64) -> &[(u64, usize)];
+}
+
+/// One slice of a walk: `[begin, end)` on `pe`, charged to `phase`, from
+/// the span kind (or "idle") named by `what`.
+pub(crate) struct Slice {
+    pub pe: usize,
+    pub phase: ReqPhase,
+    pub begin: u64,
+    pub end: u64,
+    pub what: &'static str,
+}
+
+/// The one backward span walker. Tiles `[begin, end]` starting on `pe`:
+/// the innermost span covering the cursor owns the slice before it, and a
+/// gap is handler compute. Every non-empty slice goes to `emit`, latest
+/// first. With `hops`, a barrier hands the walk to its last arriver (the
+/// whole-run critical path); without, the walk stays on `pe` and a barrier
+/// wait is synchronization (a request's path).
+pub(crate) fn walk(
+    set: &impl SpanSet,
+    begin: u64,
+    end: u64,
+    mut pe: usize,
+    hops: bool,
+    mut emit: impl FnMut(Slice),
+) {
+    let mut push = |pe: usize, phase: ReqPhase, a: u64, b: u64, what: &'static str| {
+        if b > a {
+            emit(Slice { pe, phase, begin: a, end: b, what });
+        }
+    };
+    let mut cursor = end;
+    while cursor > begin {
+        let lane = set.lane(pe);
+        // Spans on this PE beginning strictly before the cursor.
+        let k = lane.spans.partition_point(|s| s.begin < cursor);
+        let reach = k.checked_sub(1).map_or(0, |i| lane.prefix_max_end[i]);
+        if reach < cursor {
+            // Nothing covers the instant before the cursor: the PE was
+            // computing (or idle) since its last op ended.
+            let to = reach.max(begin);
+            push(pe, ReqPhase::HandlerCompute, to, cursor, "idle");
+            cursor = to;
+            continue;
+        }
+        // Innermost span covering the cursor: scan back for the latest begin
+        // whose end reaches the cursor (children begin after parents, so the
+        // first hit is the innermost).
+        let mut i = k - 1;
+        while lane.spans[i].end < cursor {
+            i -= 1;
+        }
+        let s = &lane.spans[i];
+        let what = s.kind.label();
+        if hops && s.kind == SpanKind::Barrier {
+            // The barrier was gated by its last arriver; hop to it.
+            let last = set
+                .barrier_arrivals(s.end)
+                .iter()
+                .copied()
+                .max_by_key(|&(arrived, pe)| (arrived, usize::MAX - pe));
+            if let Some((arrived, last_pe)) = last.filter(|&(arrived, _)| arrived < cursor) {
+                let arrived = arrived.max(begin);
+                push(pe, ReqPhase::Synchronization, arrived, cursor, what);
+                pe = last_pe;
+                cursor = arrived;
+                continue;
+            }
+        }
+        let a = s.begin.max(begin);
+        let flow_queue = match s.kind {
+            SpanKind::Quiet => set.flow_queue(s.pe, s.remote_end),
+            _ => None,
+        };
+        classify(s, a, cursor, flow_queue, |phase, x, y| push(pe, phase, x, y, what));
+        cursor = a;
+    }
+}
+
+/// The one span classifier: charge `[a, b)` of span `s` to phases, latest
+/// piece first. `flow_queue` is the queue wait of the flow a quiet was
+/// bounded by, when known.
+fn classify(
+    s: &Span,
+    a: u64,
+    b: u64,
+    flow_queue: Option<u64>,
+    mut charge: impl FnMut(ReqPhase, u64, u64),
+) {
+    let phase = match s.kind {
+        SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
+            // The op queues behind earlier traffic first, then occupies the
+            // lanes: the queue portion sits at the start of the span.
+            let queued_until = s.begin.saturating_add(s.queue_ns).clamp(a, b);
+            charge(ReqPhase::Wire, queued_until, b);
+            charge(ReqPhase::NicContention, a, queued_until);
+            return;
+        }
+        SpanKind::Quiet => match flow_queue {
+            // Bounded by a known flow: its queue share is contention, the
+            // rest of the stall is the wire finishing the transfer.
+            Some(q) => {
+                let queued_until = a + q.min(b - a);
+                charge(ReqPhase::Wire, queued_until, b);
+                charge(ReqPhase::NicContention, a, queued_until);
+                return;
+            }
+            // Unpaired: a completion target inside the slice means the wire
+            // was still moving bytes; otherwise it was a pure stall.
+            None if s.remote_end > a => ReqPhase::Wire,
+            None => ReqPhase::Synchronization,
+        },
+        // Collective time not covered by a child span (flag polls, internal
+        // bookkeeping) is synchronization too.
+        SpanKind::Barrier | SpanKind::WaitUntil | SpanKind::Collective => ReqPhase::Synchronization,
+        SpanKind::Retry | SpanKind::Fault => ReqPhase::FaultDelay,
+        SpanKind::Compute => ReqPhase::HandlerCompute,
+    };
+    charge(phase, a, b);
+}
+
+/// A whole run's spans, indexed for the critical-path walk.
+struct RunSpans {
+    lanes: Vec<Lane>,
+    /// Barrier end time -> arrivals `(begin, pe)`, for last-arriver hops.
+    barrier_arrivals: BTreeMap<u64, Vec<(u64, usize)>>,
+    /// `(pe, remote_end)` -> queue wait of that flow, for quiet pairing.
+    flows: BTreeMap<(usize, u64), u64>,
+}
+
+impl SpanSet for RunSpans {
+    fn lane(&self, pe: usize) -> &Lane {
+        &self.lanes[pe]
+    }
+
+    fn flow_queue(&self, pe: usize, remote_end: u64) -> Option<u64> {
+        self.flows.get(&(pe, remote_end)).copied()
+    }
+
+    fn barrier_arrivals(&self, end: u64) -> &[(u64, usize)] {
+        self.barrier_arrivals.get(&end).map_or(&[], |a| a.as_slice())
+    }
+}
+
+/// Extract the critical path from a run's spans and final clocks: the walk
+/// over `[0, makespan]` from the last PE to finish, with barrier hops.
 ///
 /// With tracing disabled (no spans) the whole makespan is attributed to
 /// compute on the last-finishing PE — the profiler degrades gracefully
@@ -227,211 +479,32 @@ pub fn critical_path(spans: &[Span], clocks: &[u64]) -> CriticalPathReport {
         return CriticalPathReport { makespan_ns: 0, segments: Vec::new() };
     }
     let num_pes = clocks.len();
-    let mut per_pe: Vec<Vec<Span>> = vec![Vec::new(); num_pes];
-    // Barrier end time -> arrivals (begin, pe), for last-arriver hops.
+    let mut lanes: Vec<Vec<Span>> = vec![Vec::new(); num_pes];
     let mut barrier_arrivals: BTreeMap<u64, Vec<(u64, usize)>> = BTreeMap::new();
-    // (pe, remote_end) -> flow span index info for quiet pairing.
-    let mut flows: BTreeMap<(usize, u64), Span> = BTreeMap::new();
-    for s in spans {
-        if s.pe >= num_pes {
-            continue;
-        }
-        per_pe[s.pe].push(*s);
+    let mut flows = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.pe < num_pes) {
+        lanes[s.pe].push(*s);
         if s.kind == SpanKind::Barrier {
             barrier_arrivals.entry(s.end).or_default().push((s.begin, s.pe));
         }
-        if matches!(s.kind, SpanKind::Put | SpanKind::Get | SpanKind::Amo) && s.remote_end > 0 {
-            flows.insert((s.pe, s.remote_end), *s);
+        if is_flow(s) {
+            flows.insert((s.pe, s.remote_end), s.queue_ns);
         }
     }
-    let per_pe: Vec<PeSpans> = per_pe
-        .into_iter()
-        .map(|mut spans| {
-            spans.sort_by_key(|s| (s.begin, s.id));
-            let mut prefix_max_end = Vec::with_capacity(spans.len());
-            let mut m = 0u64;
-            for s in &spans {
-                m = m.max(s.end);
-                prefix_max_end.push(m);
-            }
-            PeSpans { spans, prefix_max_end }
-        })
-        .collect();
-
+    let set =
+        RunSpans { lanes: lanes.into_iter().map(Lane::new).collect(), barrier_arrivals, flows };
     // Start on the PE that finished last (lowest index wins ties).
-    let mut pe = clocks.iter().position(|&c| c == makespan).unwrap_or(0);
-    let mut cursor = makespan;
+    let pe = clocks.iter().position(|&c| c == makespan).unwrap_or(0);
     let mut segments: Vec<PathSegment> = Vec::new();
-    let push = |segments: &mut Vec<PathSegment>,
-                pe: usize,
-                category: PathCategory,
-                begin: u64,
-                end: u64,
-                what: &'static str| {
-        if end > begin {
-            segments.push(PathSegment { pe, category, begin, end, what });
-        }
-    };
-
-    while cursor > 0 {
-        let buf = &per_pe[pe];
-        // Last span on this PE beginning strictly before the cursor.
-        let idx = buf.spans.partition_point(|s| s.begin < cursor);
-        if idx == 0 {
-            // Nothing earlier: the PE ran (or sat) from time 0.
-            push(&mut segments, pe, PathCategory::Compute, 0, cursor, "idle");
-            cursor = 0;
-            continue;
-        }
-        let idx = idx - 1;
-        if buf.prefix_max_end[idx] < cursor {
-            // Gap between the last op and the cursor: the PE was computing.
-            let prev_end = buf.prefix_max_end[idx];
-            push(&mut segments, pe, PathCategory::Compute, prev_end, cursor, "idle");
-            cursor = prev_end;
-            continue;
-        }
-        // Innermost span covering the cursor: scan back for the latest begin
-        // whose end reaches the cursor (children begin after parents, so the
-        // first hit is the innermost).
-        let mut i = idx;
-        while buf.spans[i].end < cursor {
-            i -= 1;
-        }
-        let s = buf.spans[i];
-        let seg_begin = s.begin;
-        match s.kind {
-            SpanKind::Barrier => {
-                // The barrier was gated by its last arriver; hop to it.
-                let arrivals = barrier_arrivals.get(&s.end);
-                let last = arrivals
-                    .and_then(|a| {
-                        a.iter().copied().max_by_key(|&(begin, pe)| (begin, usize::MAX - pe))
-                    })
-                    .unwrap_or((seg_begin, pe));
-                if last.0 < cursor {
-                    push(
-                        &mut segments,
-                        pe,
-                        PathCategory::Synchronization,
-                        last.0,
-                        cursor,
-                        s.kind.label(),
-                    );
-                    pe = last.1;
-                    cursor = last.0;
-                } else {
-                    push(
-                        &mut segments,
-                        pe,
-                        PathCategory::Synchronization,
-                        seg_begin,
-                        cursor,
-                        s.kind.label(),
-                    );
-                    cursor = seg_begin;
-                }
-            }
-            SpanKind::Quiet => {
-                // Pair with the flow whose remote completion bounded the
-                // quiet (ctx stores that target in the span's remote_end).
-                let flow = flows.get(&(s.pe, s.remote_end));
-                let len = cursor - seg_begin;
-                match flow {
-                    Some(f) => {
-                        // Segments accumulate newest-first; push the later
-                        // (wire) slice before the earlier (queue) slice.
-                        let nic = f.queue_ns.min(len);
-                        push(
-                            &mut segments,
-                            pe,
-                            PathCategory::Wire,
-                            seg_begin + nic,
-                            cursor,
-                            "quiet",
-                        );
-                        push(
-                            &mut segments,
-                            pe,
-                            PathCategory::NicContention,
-                            seg_begin,
-                            seg_begin + nic,
-                            "quiet",
-                        );
-                    }
-                    None => {
-                        let cat = if s.remote_end > seg_begin {
-                            PathCategory::Wire
-                        } else {
-                            PathCategory::Synchronization
-                        };
-                        push(&mut segments, pe, cat, seg_begin, cursor, "quiet");
-                    }
-                }
-                cursor = seg_begin;
-            }
-            SpanKind::WaitUntil => {
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::Synchronization,
-                    seg_begin,
-                    cursor,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-            SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
-                let len = cursor - seg_begin;
-                let nic = s.queue_ns.min(len);
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::Wire,
-                    seg_begin + nic,
-                    cursor,
-                    s.kind.label(),
-                );
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::NicContention,
-                    seg_begin,
-                    seg_begin + nic,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-            SpanKind::Retry | SpanKind::Fault => {
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::FaultDelay,
-                    seg_begin,
-                    cursor,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-            SpanKind::Compute => {
-                push(&mut segments, pe, PathCategory::Compute, seg_begin, cursor, s.kind.label());
-                cursor = seg_begin;
-            }
-            SpanKind::Collective => {
-                // Only reached for collective time not covered by a child
-                // span (flag polls, internal bookkeeping): synchronization.
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::Synchronization,
-                    seg_begin,
-                    cursor,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-        }
-    }
+    walk(&set, 0, makespan, pe, true, |s| {
+        segments.push(PathSegment {
+            pe: s.pe,
+            category: PathCategory::of(s.phase),
+            begin: s.begin,
+            end: s.end,
+            what: s.what,
+        })
+    });
     segments.reverse();
     CriticalPathReport { makespan_ns: makespan, segments }
 }

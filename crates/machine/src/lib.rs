@@ -52,7 +52,7 @@ pub use critdiff::{digest_metrics, CritDiff, MetricDigest, RunDigest};
 pub use critpath::{critical_path, CriticalPathReport, PathCategory, PathSegment};
 pub use fault::{with_forced_plan, DegradedWindow, FaultKind, FaultPlan, PeFailure, RetryPolicy};
 pub use integrity::with_forced_checksums;
-pub use launch::{run, run_with_result, NicSnapshot, RequestLog, SimError, SimOutcome};
+pub use launch::{run, run_with_result, NicSnapshot, SimError, SimOutcome};
 pub use machine::{Machine, PeId};
 pub use metrics::{
     with_forced_metrics, HistogramEntry, MetricsRegistry, MetricsSnapshot, WindowCounterEntry,
@@ -65,7 +65,6 @@ pub use slo::{BurnWindow, SloAlert, SloReport, SloSpec, SloWindow};
 pub use stats::{FaultEvent, PlanDecision, StatsSnapshot};
 pub use stream::{with_forced_stream, SnapshotRing, StreamConfig, StreamConsumer, StreamSample};
 pub use tailprof::{
-    attribute, req_paths, Exemplar, ReqPathReport, ReqPhase, TailAttribution, TailProfile,
-    TailSampler, REQ_PHASES,
+    attribute, Exemplar, ReqPhase, TailAttribution, TailProfile, TailSampler, REQ_PHASES,
 };
-pub use trace::with_forced_tracing;
+pub use trace::{with_forced_tracing, ReqRecord};

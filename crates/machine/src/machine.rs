@@ -7,6 +7,7 @@ use crate::metrics::MetricsRegistry;
 use crate::nic::Nic;
 use crate::sanitizer::{HazardReport, Sanitizer, SanitizerMode};
 use crate::sched::SchedState;
+use crate::slo::violations_counter;
 use crate::stats::{FaultEvent, Stats};
 use crate::stream::{SnapshotRing, StreamConfig, StreamSample};
 use crate::sync::{ClockBarrier, NotifyCell, Poison};
@@ -653,6 +654,13 @@ impl Machine {
         st.next_tick.store(next, Ordering::Relaxed);
         let seq = *claim;
         *claim += 1;
+        let (windows, violations) = match st.cfg.window_metric() {
+            Some(name) => (
+                self.metrics.live_window_series(name),
+                self.metrics.live_window_counter_series(&violations_counter(name)),
+            ),
+            None => Default::default(),
+        };
         let sample = StreamSample {
             seq,
             t_ns: now,
@@ -668,10 +676,8 @@ impl Machine {
                     busy_ns: nic.busy_ns(),
                 })
                 .collect(),
-            windows: match st.cfg.window_metric() {
-                Some(name) => self.metrics.live_window_series(name),
-                None => Vec::new(),
-            },
+            windows,
+            violations,
             requests: if st.cfg.requests_enabled() {
                 self.tracer.live_requests()
             } else {

@@ -329,6 +329,32 @@ impl MetricsRegistry {
             .collect()
     }
 
+    /// The live windowed series for counter `name`, summed across PE shards
+    /// — the counter twin of [`MetricsRegistry::live_window_series`].
+    pub fn live_window_counter_series(&self, name: &str) -> Vec<WindowCounterEntry> {
+        if !self.enabled || self.window_ns == 0 {
+            return Vec::new();
+        }
+        let mut merged: BTreeMap<u64, (&'static str, u64)> = BTreeMap::new();
+        for shard in &self.shards {
+            let shard = shard.lock();
+            for (&(n, w), &v) in &shard.window_counters {
+                if n == name {
+                    merged.entry(w).or_insert((n, 0)).1 += v;
+                }
+            }
+        }
+        merged
+            .into_iter()
+            .map(|(window, (name, value))| WindowCounterEntry {
+                name,
+                window,
+                start_ns: window * self.window_ns,
+                value,
+            })
+            .collect()
+    }
+
     /// Merge every shard into a deterministic snapshot, folding in the
     /// global stats counters.
     pub fn snapshot(&self, stats: StatsSnapshot) -> MetricsSnapshot {
@@ -685,9 +711,8 @@ impl MetricsSnapshot {
                 last_name = w.name;
             }
             let base = format!("window_start_ns=\"{}\"", w.start_ns);
-            let profile = tail.and_then(|t| {
-                t.profile_at(w.start_ns.checked_div(t.window_ns).unwrap_or(0))
-            });
+            let profile =
+                tail.and_then(|t| t.profile_at(w.start_ns.checked_div(t.window_ns).unwrap_or(0)));
             for (label, q) in [("0.5", 0.50), ("0.99", 0.99), ("0.999", 0.999)] {
                 out.push_str(&format!(
                     "pgas_{}_window{{{},quantile=\"{}\"}} {}",
@@ -993,6 +1018,8 @@ mod tests {
         assert_eq!(live.len(), 2);
         assert_eq!(&live[0], wins[0]);
         assert_eq!(&live[1], wins[1]);
+        let live_counts = reg.live_window_counter_series("serve_requests");
+        assert!(live_counts.iter().eq(snap.window_counter_series("serve_requests")));
         // Prometheus export carries the windowed series.
         let text = snap.to_prometheus();
         assert!(

@@ -2,7 +2,12 @@
 //!
 //! An [`SloSpec`] names a windowed latency histogram (see
 //! `MetricsRegistry::observe_windowed`), a violation threshold, and an
-//! objective ("99.9% of requests complete under 40 µs"). Evaluating the spec
+//! objective ("99.9% of requests complete under 40 µs"). Violations are
+//! counted, not estimated from histogram buckets: the workload bumps the
+//! windowed counter [`violations_counter`]`(metric)` once per observed
+//! completion over the threshold, at the same instant it feeds the latency
+//! histogram, so a window's violations are exactly its slow requests — the
+//! same ones [`crate::tailprof`] profiles. Evaluating the spec
 //! against a finished run's [`MetricsSnapshot`] — or a live window series
 //! sampled mid-run — yields an [`SloReport`]: per-window percentiles and
 //! violation counts, cumulative error-budget accounting, and fast/slow
@@ -19,7 +24,7 @@
 //! sizes — produce bit-identical reports.
 
 use crate::json::Json;
-use crate::metrics::{bucket_bound, MetricsSnapshot, WindowEntry};
+use crate::metrics::{MetricsSnapshot, WindowCounterEntry, WindowEntry};
 use crate::tailprof::{Exemplar, ReqPhase};
 
 /// Which burn-rate window an alert fired on.
@@ -36,6 +41,14 @@ impl BurnWindow {
             BurnWindow::Slow => "slow",
         }
     }
+}
+
+/// Name of the windowed counter that counts completions of `metric` over
+/// its SLO threshold. The workload feeding `metric` bumps it (with the same
+/// threshold as the [`SloSpec`] it is judged by) and [`SloSpec::evaluate`]
+/// reads it.
+pub fn violations_counter(metric: &str) -> String {
+    format!("{metric}_violations")
 }
 
 /// A declarative SLO: percentile target plus threshold over a windowed
@@ -95,34 +108,37 @@ impl SloSpec {
     }
 
     /// Evaluate against a finished run's snapshot (uses the snapshot's
-    /// windowed series for [`SloSpec::metric`]).
+    /// windowed series for [`SloSpec::metric`] and its violation counter).
     pub fn evaluate(&self, snap: &MetricsSnapshot) -> SloReport {
         let series: Vec<&WindowEntry> = snap.window_series(self.metric).collect();
-        self.evaluate_series(snap.window_ns, &series)
+        let counter = violations_counter(self.metric);
+        let violations: Vec<&WindowCounterEntry> = snap.window_counter_series(&counter).collect();
+        self.evaluate_series(snap.window_ns, &series, &violations)
     }
 
-    /// Evaluate against an explicit window series — the entry point the live
-    /// `pgas_top -- serve` view uses with `MetricsRegistry::live_window_series`.
-    pub fn evaluate_series(&self, window_ns: u64, series: &[&WindowEntry]) -> SloReport {
+    /// Evaluate against an explicit window series and its violation counter
+    /// series — the entry point the live `pgas_top -- serve` view uses with
+    /// the stream's `windows` and `violations`.
+    pub fn evaluate_series(
+        &self,
+        window_ns: u64,
+        series: &[&WindowEntry],
+        violations: &[&WindowCounterEntry],
+    ) -> SloReport {
         let mut windows: Vec<SloWindow> = Vec::new();
         if let (Some(first), Some(last)) = (series.first(), series.last()) {
             // Densify: a window with no completions still advances the burn
             // series (an idle or dead machine is not burning budget).
             let mut it = series.iter().peekable();
+            let mut bad = violations.iter().peekable();
             for w in first.window..=last.window {
-                let entry = match it.peek() {
-                    Some(e) if e.window == w => Some(*it.next().unwrap()),
-                    _ => None,
-                };
-                let (count, violations, p50, p99, p999) = match entry {
-                    Some(e) => (
-                        e.count,
-                        violations_over(e, self.threshold_ns),
-                        e.percentile(0.50),
-                        e.percentile(0.99),
-                        e.percentile(0.999),
-                    ),
-                    None => (0, 0, 0, 0, 0),
+                let entry = it.next_if(|e| e.window == w);
+                let violations = bad.next_if(|v| v.window == w).map_or(0, |v| v.value);
+                let (count, p50, p99, p999) = match entry {
+                    Some(e) => {
+                        (e.count, e.percentile(0.50), e.percentile(0.99), e.percentile(0.999))
+                    }
+                    None => (0, 0, 0, 0),
                 };
                 windows.push(SloWindow {
                     window: w,
@@ -204,26 +220,6 @@ impl SloSpec {
             budget_spent_x1000,
         }
     }
-}
-
-/// Estimated number of values in `w` strictly above `threshold`: buckets
-/// entirely above count in full; the bucket straddling the threshold
-/// contributes a uniform-interpolation share. Deterministic — a pure integer
-/// function of the (bit-identical) window buckets.
-fn violations_over(w: &WindowEntry, threshold: u64) -> u64 {
-    let mut over = 0u64;
-    for &(i, c, _) in &w.buckets {
-        let lo = if i == 0 { 0 } else { bucket_bound(i - 1) + 1 };
-        let hi = bucket_bound(i);
-        if lo > threshold {
-            over += c;
-        } else if hi > threshold {
-            let width = hi - lo + 1;
-            let above = hi - threshold;
-            over += ((c as f64) * (above as f64) / (width as f64)).round() as u64;
-        }
-    }
-    over.min(w.count)
 }
 
 /// One window of an evaluated SLO: the percentile and violation view plus
@@ -423,12 +419,35 @@ mod tests {
             .with_burn_alerts(10.0, 2.0)
     }
 
+    /// Feed one completion the way a serving workload does: the latency
+    /// histogram, plus the violation counter when it is over threshold.
+    fn complete(reg: &MetricsRegistry, t_ns: u64, latency_ns: u64) {
+        reg.observe_windowed(0, "serve_latency_ns", None, t_ns, latency_ns);
+        if latency_ns > spec().threshold_ns {
+            reg.count_windowed(0, "serve_latency_ns_violations", None, t_ns, 1);
+        }
+    }
+
+    #[test]
+    fn violations_are_counted_not_estimated() {
+        // Every value sits in the histogram bucket straddling the threshold
+        // (1000 < v <= 1024 shares a bucket with values just under it), so
+        // only the counter can tell the three slow requests from the rest.
+        let reg = MetricsRegistry::new_windowed(true, 1, 1000);
+        for (i, v) in [900u64, 950, 990, 1001, 1010, 1020].into_iter().enumerate() {
+            complete(&reg, i as u64, v);
+        }
+        let report = spec().evaluate(&reg.snapshot(StatsSnapshot::default()));
+        assert_eq!(report.windows[0].count, 6);
+        assert_eq!(report.windows[0].violations, 3);
+    }
+
     #[test]
     fn clean_run_spends_no_budget() {
         let reg = MetricsRegistry::new_windowed(true, 1, 1000);
         for w in 0..4u64 {
             for i in 0..100u64 {
-                reg.observe_windowed(0, "serve_latency_ns", None, w * 1000 + i, 500);
+                complete(&reg, w * 1000 + i, 500);
             }
         }
         let report = spec().evaluate(&reg.snapshot(StatsSnapshot::default()));
@@ -450,7 +469,7 @@ mod tests {
         for w in 0..10u64 {
             let v = if w == 3 { 100_000 } else { 500 };
             for i in 0..100u64 {
-                reg.observe_windowed(0, "serve_latency_ns", None, w * 1000 + i, v);
+                complete(&reg, w * 1000 + i, v);
             }
         }
         let report = spec().evaluate(&reg.snapshot(StatsSnapshot::default()));
@@ -480,8 +499,8 @@ mod tests {
         let reg = MetricsRegistry::new_windowed(true, 1, 1000);
         // Requests in windows 0 and 5 only; 1..=4 are idle.
         for i in 0..10u64 {
-            reg.observe_windowed(0, "serve_latency_ns", None, i, 2000);
-            reg.observe_windowed(0, "serve_latency_ns", None, 5000 + i, 500);
+            complete(&reg, i, 2000);
+            complete(&reg, 5000 + i, 500);
         }
         let report = spec().evaluate(&reg.snapshot(StatsSnapshot::default()));
         assert_eq!(report.windows.len(), 6, "gap windows are densified");

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::launch::NicSnapshot;
-use crate::metrics::WindowEntry;
+use crate::metrics::{WindowCounterEntry, WindowEntry};
 use crate::trace::{ReqRecord, Span};
 
 /// One sample of the machine's observable state at (or just past) a cadence
@@ -51,6 +51,10 @@ pub struct StreamSample {
     /// `pgas_top -- serve` renders p50/p99/p999 and burn rates from. Empty
     /// unless the machine records windowed metrics and a metric was named.
     pub windows: Vec<WindowEntry>,
+    /// The live windowed SLO violation counter of that metric
+    /// ([`crate::slo::violations_counter`]), summed across PEs — what the
+    /// live burn rates are computed from. Empty whenever `windows` is.
+    pub violations: Vec<WindowCounterEntry>,
     /// Every request completed so far, sorted `(pe, id)` — the live feed of
     /// `pgas_top -- serve`'s "top tail causes" panel. Empty unless the
     /// machine is traced, the workload marks requests, and the stream opted
@@ -279,6 +283,7 @@ mod tests {
             inflight: Vec::new(),
             nics: Vec::new(),
             windows: Vec::new(),
+            violations: Vec::new(),
             requests: Vec::new(),
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! [`crate::critpath`] explains a run's *makespan*; [`crate::slo`] says which
 //! windows violated an objective. This module closes the loop from a
-//! burn-rate alert back to the requests that caused it: it generalizes the
-//! critical-path walk so it runs *per request id* (spans carry request ids —
-//! see [`crate::trace::Tracer::begin_request`]) and tiles every request's
-//! end-to-end latency into six phases:
+//! burn-rate alert back to the requests that caused it. The tracer tiles
+//! every request once, when it completes ([`crate::trace::Tracer::end_request`]
+//! calls [`tile_request`]): the critical-path walker runs over the
+//! request's own spans (spans carry request ids — see
+//! [`crate::trace::Tracer::begin_request`]) and splits its end-to-end
+//! latency into six phases:
 //!
 //! - **queue-wait** — admitted by the open-loop clock but not yet served;
 //! - **wire** — NIC service time of the ops the request issued;
@@ -14,245 +16,67 @@
 //! - **fault-delay** — detection timeouts and retry backoff under faults;
 //! - **handler-compute** — the serving PE's own work (and any residue).
 //!
-//! Per-request reports aggregate into per-SLO-window [`TailProfile`]s:
-//! phase totals split between requests *above* the objective threshold and
-//! those below it, a `dominant_cause` per window, and Prometheus-style
-//! **exemplars** — the k worst request ids of the window, retained by
-//! [`TailSampler`]. The sampler is a deterministic virtual-time tail
-//! reservoir: it keys on `(latency, mix(seed ^ id), id)`, a total order over
-//! requests, so the retained set is a pure function of the run's virtual
-//! behaviour and the configured seed — bit-identical across `PGAS_WORKERS`
-//! pool sizes, like every other digest in the tree.
+//! The resulting [`ReqRecord`]s aggregate into per-SLO-window
+//! [`TailProfile`]s: phase totals split between requests *above* the
+//! objective threshold and those below it, a `dominant_cause` per window,
+//! and Prometheus-style **exemplars** — the k worst request ids of the
+//! window, retained by [`TailSampler`]. The sampler is a deterministic
+//! virtual-time tail reservoir: it keys on `(latency, mix(seed ^ id), id)`,
+//! a total order over requests, so the retained set is a pure function of
+//! the run's virtual behaviour and the configured seed — bit-identical
+//! across `PGAS_WORKERS` pool sizes, like every other digest in the tree.
 //!
 //! [`TailAttribution::annotate`] folds the profiles back into an
 //! [`SloReport`]: every window gains its dominant cause and every fast/slow
 //! burn alert carries the worst exemplars of the trailing span that fired it.
 
+use crate::critpath::{walk, Lane, SpanSet};
 use crate::json::Json;
 use crate::slo::SloReport;
-use crate::trace::{ReqRecord, Span, SpanKind};
+use crate::trace::{ReqRecord, Span};
 use std::collections::BTreeMap;
+
+pub use crate::critpath::{ReqPhase, REQ_PHASES};
 
 /// Default exemplar count retained per window (the `k` in "k worst").
 pub const DEFAULT_EXEMPLARS: usize = 5;
 
-/// One phase of a request's latency decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ReqPhase {
-    /// Admitted (open-loop arrival) but the serving PE had not started yet.
-    QueueWait,
-    /// NIC lane occupancy of the ops the request issued.
-    Wire,
-    /// Time the request's ops waited behind earlier traffic on the NICs.
-    NicContention,
-    /// Barriers, waits, and completion stalls not bounded by a known flow.
-    Synchronization,
-    /// Fault detection timeouts and retry backoff.
-    FaultDelay,
-    /// The serving PE's own compute, plus any untraced residue.
-    HandlerCompute,
-}
-
-/// Every phase, in presentation (and tie-break) order.
-pub const REQ_PHASES: [ReqPhase; 6] = [
-    ReqPhase::QueueWait,
-    ReqPhase::Wire,
-    ReqPhase::NicContention,
-    ReqPhase::Synchronization,
-    ReqPhase::FaultDelay,
-    ReqPhase::HandlerCompute,
-];
-
-impl ReqPhase {
-    pub fn label(self) -> &'static str {
-        match self {
-            ReqPhase::QueueWait => "queue_wait",
-            ReqPhase::Wire => "wire",
-            ReqPhase::NicContention => "nic_contention",
-            ReqPhase::Synchronization => "synchronization",
-            ReqPhase::FaultDelay => "fault_delay",
-            ReqPhase::HandlerCompute => "handler_compute",
+/// Tile one request's latency into [`REQ_PHASES`] order: the open-loop
+/// backlog (`begin - arrival`) is queue wait, and `[begin, end]` is the
+/// critical-path walk over the request's own `spans` (all on its serving
+/// PE) without barrier hops. `flow_queue` maps a quiet's completion target
+/// to the queue wait of the flow that landed then. The phases sum to
+/// `end - arrival` exactly.
+pub(crate) fn tile_request(
+    spans: Vec<Span>,
+    flow_queue: impl Fn(u64) -> Option<u64>,
+    arrival_ns: u64,
+    begin_ns: u64,
+    end_ns: u64,
+) -> [u64; 6] {
+    struct Request<F> {
+        lane: Lane,
+        flow_queue: F,
+    }
+    impl<F: Fn(u64) -> Option<u64>> SpanSet for Request<F> {
+        fn lane(&self, _pe: usize) -> &Lane {
+            &self.lane
+        }
+        fn flow_queue(&self, _pe: usize, remote_end: u64) -> Option<u64> {
+            (self.flow_queue)(remote_end)
+        }
+        fn barrier_arrivals(&self, _end: u64) -> &[(u64, usize)] {
+            &[]
         }
     }
-
-    pub fn parse(s: &str) -> Option<ReqPhase> {
-        REQ_PHASES.into_iter().find(|p| p.label() == s)
-    }
-}
-
-/// One request's latency, tiled exactly into the six [`ReqPhase`]s:
-/// `phase_ns` sums to `end_ns - arrival_ns`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReqPathReport {
-    pub id: u64,
-    pub pe: usize,
-    pub arrival_ns: u64,
-    pub begin_ns: u64,
-    pub end_ns: u64,
-    /// Phase durations indexed by [`REQ_PHASES`] order.
-    pub phase_ns: [u64; 6],
-}
-
-impl ReqPathReport {
-    /// End-to-end latency (arrival to completion), ns.
-    pub fn total_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.arrival_ns)
-    }
-
-    /// The phase this request spent the most time in (ties break in
-    /// [`REQ_PHASES`] order).
-    pub fn dominant_phase(&self) -> ReqPhase {
-        let mut best = 0usize;
-        for (i, &v) in self.phase_ns.iter().enumerate() {
-            if v > self.phase_ns[best] {
-                best = i;
-            }
-        }
-        REQ_PHASES[best]
-    }
-}
-
-/// Charge the segment `[a, b)` of span `s` to phases. `flow_queue` is the
-/// queue-wait of the flow a paired quiet was bounded by, when known.
-fn charge(phase_ns: &mut [u64; 6], s: &Span, a: u64, b: u64, flow_queue: Option<u64>) {
-    let len = b.saturating_sub(a);
-    if len == 0 {
-        return;
-    }
-    let overlap = |lo: u64, hi: u64| -> u64 { hi.min(b).saturating_sub(lo.max(a)) };
-    match s.kind {
-        SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
-            // The op queues behind earlier traffic first, then occupies the
-            // lanes: the queue portion sits at the start of the span.
-            let nic = overlap(s.begin, s.begin.saturating_add(s.queue_ns));
-            phase_ns[ReqPhase::NicContention as usize] += nic;
-            phase_ns[ReqPhase::Wire as usize] += len - nic;
-        }
-        SpanKind::Quiet => match flow_queue {
-            // Bounded by a known flow: its queue share is contention, the
-            // rest of the stall is the wire finishing the transfer.
-            Some(q) => {
-                let nic = q.min(len);
-                phase_ns[ReqPhase::NicContention as usize] += nic;
-                phase_ns[ReqPhase::Wire as usize] += len - nic;
-            }
-            None => {
-                // Unpaired: a completion target inside the segment means the
-                // wire was still moving bytes; otherwise it was a pure stall.
-                if s.remote_end > a {
-                    phase_ns[ReqPhase::Wire as usize] += len;
-                } else {
-                    phase_ns[ReqPhase::Synchronization as usize] += len;
-                }
-            }
-        },
-        SpanKind::Barrier | SpanKind::WaitUntil | SpanKind::Collective => {
-            phase_ns[ReqPhase::Synchronization as usize] += len;
-        }
-        SpanKind::Retry | SpanKind::Fault => {
-            phase_ns[ReqPhase::FaultDelay as usize] += len;
-        }
-        SpanKind::Compute => {
-            phase_ns[ReqPhase::HandlerCompute as usize] += len;
-        }
-    }
-}
-
-/// Tile `[begin, end)` by walking this request's spans backward from the
-/// end, always attributing to the innermost span covering the cursor — the
-/// same mechanics as [`crate::critpath::critical_path`]'s per-PE walk,
-/// restricted to one request. Gaps (the PE running untraced handler code)
-/// are handler-compute.
-fn tile_request(
-    phase_ns: &mut [u64; 6],
-    spans: &[&Span],
-    begin: u64,
-    end: u64,
-    flows: &BTreeMap<(usize, u64), u64>,
-) {
-    // `spans` is sorted by (begin, id); prefix max of ends finds gaps.
-    let mut prefix_max_end = Vec::with_capacity(spans.len());
-    let mut running = 0u64;
-    for s in spans {
-        running = running.max(s.end);
-        prefix_max_end.push(running);
-    }
-    let mut cursor = end;
-    while cursor > begin {
-        let k = spans.partition_point(|s| s.begin < cursor);
-        if k == 0 {
-            phase_ns[ReqPhase::HandlerCompute as usize] += cursor - begin;
-            break;
-        }
-        if prefix_max_end[k - 1] < cursor {
-            // Nothing covers (cursor-ε): the PE was running handler code.
-            let to = prefix_max_end[k - 1].max(begin);
-            phase_ns[ReqPhase::HandlerCompute as usize] += cursor - to;
-            cursor = to;
-            continue;
-        }
-        // Innermost cover: the latest-beginning span still open at `cursor`.
-        let mut i = k - 1;
-        while spans[i].end < cursor {
-            i -= 1;
-        }
-        let s = spans[i];
-        let seg_begin = s.begin.max(begin);
-        let flow_queue = match s.kind {
-            SpanKind::Quiet => flows.get(&(s.pe, s.remote_end)).copied(),
-            _ => None,
-        };
-        charge(phase_ns, s, seg_begin, cursor, flow_queue);
-        cursor = seg_begin;
-    }
-}
-
-/// Walk the span graph per request id and emit one [`ReqPathReport`] per
-/// request, in the deterministic `(pe, id)` order of `requests`. Every
-/// report tiles its latency exactly: `phase_ns` sums to `total_ns()`.
-pub fn req_paths(spans: &[Span], requests: &[ReqRecord]) -> Vec<ReqPathReport> {
-    // Group the tagged spans by request id once (sorted by (req, begin, id)),
-    // and index flows by (pe, completion instant) so paired quiet stalls can
-    // be split into contention vs. wire like the global critical path does.
-    let mut tagged: Vec<&Span> = spans.iter().filter(|s| s.req != 0).collect();
-    tagged.sort_by_key(|s| (s.req, s.begin, s.id));
-    let mut groups: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-    let mut i = 0usize;
-    while i < tagged.len() {
-        let req = tagged[i].req;
-        let start = i;
-        while i < tagged.len() && tagged[i].req == req {
-            i += 1;
-        }
-        groups.insert(req, (start, i));
-    }
-    let mut flows: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-    for s in spans {
-        if s.peer.is_some() && s.remote_end > 0 {
-            flows.insert((s.pe, s.remote_end), s.queue_ns);
-        }
-    }
-    requests
-        .iter()
-        .map(|r| {
-            let mut phase_ns = [0u64; 6];
-            phase_ns[ReqPhase::QueueWait as usize] = r.begin_ns.saturating_sub(r.arrival_ns);
-            let begin = r.begin_ns.max(r.arrival_ns);
-            let end = r.end_ns.max(begin);
-            match groups.get(&r.id) {
-                Some(&(lo, hi)) => tile_request(&mut phase_ns, &tagged[lo..hi], begin, end, &flows),
-                None => phase_ns[ReqPhase::HandlerCompute as usize] += end - begin,
-            }
-            ReqPathReport {
-                id: r.id,
-                pe: r.pe,
-                arrival_ns: r.arrival_ns,
-                begin_ns: r.begin_ns,
-                end_ns: r.end_ns,
-                phase_ns,
-            }
-        })
-        .collect()
+    let mut phase_ns = [0u64; 6];
+    phase_ns[ReqPhase::QueueWait as usize] = begin_ns.saturating_sub(arrival_ns);
+    let begin = begin_ns.max(arrival_ns);
+    let request = Request { lane: Lane::new(spans), flow_queue };
+    walk(&request, begin, end_ns.max(begin), 0, false, |s| {
+        phase_ns[s.phase as usize] += s.end - s.begin
+    });
+    phase_ns
 }
 
 /// One retained worst-case request.
@@ -336,16 +160,7 @@ impl TailProfile {
     /// The phase dominating the slow requests' time, or `None` when the
     /// window has no violations. Ties break in [`REQ_PHASES`] order.
     pub fn dominant_cause(&self) -> Option<ReqPhase> {
-        if self.slow == 0 {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, &v) in self.slow_phase_ns.iter().enumerate() {
-            if v > self.slow_phase_ns[best] {
-                best = i;
-            }
-        }
-        Some(REQ_PHASES[best])
+        (self.slow > 0).then(|| ReqPhase::dominant(&self.slow_phase_ns))
     }
 }
 
@@ -363,12 +178,12 @@ pub struct TailAttribution {
     pub profiles: Vec<TailProfile>,
 }
 
-/// Aggregate per-request reports into per-window tail profiles. Requests
-/// land in the window containing their *completion* instant — the same
+/// Aggregate request records into per-window tail profiles. Requests land
+/// in the window containing their *completion* instant — the same
 /// convention `MetricsRegistry::observe_windowed` uses, so profiles line up
 /// with [`crate::slo`] windows index for index.
 pub fn attribute(
-    reports: &[ReqPathReport],
+    reports: &[ReqRecord],
     threshold_ns: u64,
     window_ns: u64,
     k: usize,
@@ -574,7 +389,7 @@ impl TailAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
+    use crate::trace::{SpanKind, Tracer};
 
     fn op(pe: usize, kind: SpanKind, begin: u64, end: u64, queue: u64, service: u64) -> Span {
         let mut s = Span::op(pe, kind, begin, end, Some(1), 64);
@@ -585,7 +400,7 @@ mod tests {
 
     /// Record a two-request trace on one PE: a fast request that only
     /// computes, and a slow one dominated by a retry.
-    fn two_request_trace() -> (Vec<Span>, Vec<ReqRecord>) {
+    fn two_request_trace() -> Vec<ReqRecord> {
         let t = Tracer::new(true, 2);
         t.begin_request(0, 0x1_0000_0001, 100, 120);
         t.record(op(0, SpanKind::Put, 130, 190, 40, 20));
@@ -593,13 +408,12 @@ mod tests {
         t.begin_request(0, 0x1_0000_0002, 210, 210);
         t.record(op(0, SpanKind::Retry, 220, 900, 0, 0));
         t.end_request(0, 1000);
-        (t.drain(), t.drain_requests())
+        t.drain_requests()
     }
 
     #[test]
-    fn req_paths_tile_latency_exactly() {
-        let (spans, reqs) = two_request_trace();
-        let reports = req_paths(&spans, &reqs);
+    fn records_tile_latency_exactly() {
+        let reports = two_request_trace();
         assert_eq!(reports.len(), 2);
         for r in &reports {
             let sum: u64 = r.phase_ns.iter().sum();
@@ -628,7 +442,7 @@ mod tests {
         quiet.remote_end = 300; // completion target: the put's landing
         t.record(quiet);
         t.end_request(0, 300);
-        let reports = req_paths(&t.drain(), &t.drain_requests());
+        let reports = t.drain_requests();
         let r = &reports[0];
         // The quiet's 250 ns stall splits per the put's queue share (10 ns).
         assert_eq!(r.phase_ns[ReqPhase::NicContention as usize], 10 + 10);
@@ -637,19 +451,40 @@ mod tests {
     }
 
     #[test]
+    fn quiet_pairs_with_a_flow_issued_before_the_request() {
+        // A put issued outside any request lands at 400; the next request's
+        // quiet waits on it, so its stall splits per that put's queue share.
+        let t = Tracer::new(true, 1);
+        let mut put = op(0, SpanKind::Put, 0, 50, 30, 20);
+        put.remote_end = 400;
+        t.record(put);
+        t.begin_request(0, 9, 100, 100);
+        let mut quiet = op(0, SpanKind::Quiet, 100, 400, 0, 0);
+        quiet.peer = None;
+        quiet.remote_end = 400;
+        t.record(quiet);
+        t.end_request(0, 400);
+        let r = t.drain_requests()[0];
+        assert_eq!(r.phase_ns, [0, 270, 30, 0, 0, 0]);
+        // The whole-run walk pairs the same quiet with the same flow.
+        let report = crate::critpath::critical_path(&t.drain(), &[400]);
+        let totals: BTreeMap<_, _> = report.totals_ns().into_iter().collect();
+        assert_eq!(totals[&crate::critpath::PathCategory::NicContention], 30 + 30);
+    }
+
+    #[test]
     fn requests_without_spans_are_handler_compute() {
         let t = Tracer::new(true, 1);
         t.begin_request(0, 7, 50, 80);
         t.end_request(0, 180);
-        let reports = req_paths(&[], &t.drain_requests());
+        let reports = t.drain_requests();
         assert_eq!(reports[0].phase_ns[ReqPhase::QueueWait as usize], 30);
         assert_eq!(reports[0].phase_ns[ReqPhase::HandlerCompute as usize], 100);
     }
 
     #[test]
     fn attribute_splits_windows_and_picks_dominant_cause() {
-        let (spans, reqs) = two_request_trace();
-        let reports = req_paths(&spans, &reqs);
+        let reports = two_request_trace();
         // Threshold 500: request 1 (latency 100) is fast, request 2
         // (latency 790) is slow. Window width 500: completions at 200 and
         // 1000 land in windows 0 and 2.
@@ -677,8 +512,7 @@ mod tests {
             latency_ns: latency,
             dominant: ReqPhase::HandlerCompute,
         };
-        let offers: Vec<Exemplar> =
-            (0..100).map(|i| exemplar(i, 1000 + (i * 37) % 50)).collect();
+        let offers: Vec<Exemplar> = (0..100).map(|i| exemplar(i, 1000 + (i * 37) % 50)).collect();
         let run = |order: &[Exemplar]| {
             let mut s = TailSampler::new(5, 0xC0FFEE);
             for &e in order {
@@ -732,19 +566,23 @@ mod tests {
                 }
                 t.end_request(0, end);
                 reg.observe_windowed(0, "serve_latency_ns", None, end, end - arrival);
+                if end - arrival > 1000 {
+                    reg.count_windowed(0, "serve_latency_ns_violations", None, end, 1);
+                }
             }
         }
         let spec = SloSpec::new("p99", "serve_latency_ns", 1000, 0.99)
             .with_burn_windows(2, 4)
             .with_burn_alerts(10.0, 2.0);
         let mut report = spec.evaluate(&reg.snapshot(StatsSnapshot::default()));
-        let reports = req_paths(&t.drain(), &t.drain_requests());
-        let tail = attribute(&reports, 1000, 1000, 4, 0x5E21);
+        let tail = attribute(&t.drain_requests(), 1000, 1000, 4, 0x5E21);
         tail.annotate(&mut report);
         assert_eq!(report.windows[3].dominant_cause, Some(ReqPhase::FaultDelay));
-        assert!(report.windows.iter().filter(|w| w.violations == 0).all(|w| w
-            .dominant_cause
-            .is_none()));
+        assert!(report
+            .windows
+            .iter()
+            .filter(|w| w.violations == 0)
+            .all(|w| w.dominant_cause.is_none()));
         let raised: Vec<_> = report.alerts.iter().filter(|a| a.raised).collect();
         assert!(!raised.is_empty());
         for a in &raised {

@@ -24,8 +24,10 @@
 //! beats the `PGAS_TRACE` environment default.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use crate::critpath::{is_flow, ReqPhase};
 use crate::json::Json;
 use parking_lot::Mutex;
 
@@ -133,12 +135,14 @@ impl Span {
     }
 }
 
-/// One served request's lifecycle markers, recorded by
-/// [`Tracer::begin_request`] / [`Tracer::end_request`]: when it *arrived*
-/// (was admitted by the open-loop virtual clock), when the PE actually
-/// started serving it, and when it completed. The gap between arrival and
-/// begin is real queueing delay — the generator admits by the virtual clock,
-/// not by completion.
+/// One served request: when it *arrived* (was admitted by the open-loop
+/// virtual clock), when the PE actually started serving it, when it
+/// completed, and its latency tiled exactly into the six [`ReqPhase`]s.
+/// Recorded once, by [`Tracer::end_request`], which walks the request's own
+/// spans with the critical-path walker; the gap between arrival and begin
+/// is real queueing delay — the generator admits by the virtual clock, not
+/// by completion. Every consumer (tail attribution, run digests, probe
+/// sidecars, the live stream) reads these records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReqRecord {
     /// Request id, `pe << 32 | seq` by convention (seq starts at 1).
@@ -151,16 +155,22 @@ pub struct ReqRecord {
     pub begin_ns: u64,
     /// Completion instant.
     pub end_ns: u64,
-    /// NIC queue-wait accumulated by the request's spans (live running sum;
-    /// the authoritative per-request decomposition is
-    /// `tailprof::req_paths`, which also resolves overlap).
-    pub nic_ns: u64,
-    /// NIC service time accumulated by the request's spans.
-    pub wire_ns: u64,
-    /// Synchronization stall accumulated (barriers, waits, unpaired quiets).
-    pub sync_ns: u64,
-    /// Fault detection/retry delay accumulated.
-    pub fault_ns: u64,
+    /// Phase durations in `REQ_PHASES` order; they sum to
+    /// [`ReqRecord::total_ns`].
+    pub phase_ns: [u64; 6],
+}
+
+impl ReqRecord {
+    /// End-to-end latency (arrival to completion), ns.
+    pub fn total_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.arrival_ns)
+    }
+
+    /// The phase this request spent the most time in (ties break in
+    /// `REQ_PHASES` order).
+    pub fn dominant_phase(&self) -> ReqPhase {
+        ReqPhase::dominant(&self.phase_ns)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -171,10 +181,14 @@ struct PeBuf {
     /// Open serving request on this PE (0 = none); stamped onto every span
     /// recorded while set.
     current_req: u64,
-    /// Arrival/begin of the open request, carried until `end_request`.
-    open_req: (u64, u64),
-    /// Live phase sums of the open request: nic, wire, sync, fault.
-    open_phase: [u64; 4],
+    /// Arrival, begin and first span index of the open request, carried
+    /// until `end_request`.
+    open_req: (u64, u64, usize),
+    /// Flows issued from this PE, keyed by landing instant: `(begin,
+    /// queue_ns)` of the latest-beginning one, so a request's quiet pairs
+    /// with the flow it waited on — the same pairing the whole-run walk
+    /// makes.
+    flows: HashMap<u64, (u64, u64)>,
     requests: Vec<ReqRecord>,
 }
 
@@ -225,27 +239,10 @@ impl Tracer {
         if span.req == 0 {
             span.req = buf.current_req;
         }
-        if span.req != 0 && span.req == buf.current_req {
-            // Keep the open request's live phase sums current so streaming
-            // consumers can attribute tails without walking the span graph.
-            let len = span.end.saturating_sub(span.begin);
-            match span.kind {
-                SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
-                    buf.open_phase[0] += span.queue_ns;
-                    buf.open_phase[1] += span.service_ns;
-                }
-                SpanKind::Quiet => {
-                    let nic = span.queue_ns.min(len);
-                    buf.open_phase[0] += nic;
-                    buf.open_phase[2] += len - nic;
-                }
-                SpanKind::Barrier | SpanKind::WaitUntil | SpanKind::Collective => {
-                    buf.open_phase[2] += len;
-                }
-                SpanKind::Retry | SpanKind::Fault => {
-                    buf.open_phase[3] += len;
-                }
-                SpanKind::Compute => {}
+        if is_flow(&span) {
+            let flow = buf.flows.entry(span.remote_end).or_insert((span.begin, span.queue_ns));
+            if span.begin >= flow.0 {
+                *flow = (span.begin, span.queue_ns);
             }
         }
         let id = span.id;
@@ -263,37 +260,44 @@ impl Tracer {
         }
         let mut buf = self.pes[pe].lock();
         buf.current_req = req_id;
-        buf.open_req = (arrival_ns, begin_ns);
-        buf.open_phase = [0; 4];
+        buf.open_req = (arrival_ns, begin_ns, buf.spans.len());
     }
 
-    /// Close the open request on `pe`, recording its [`ReqRecord`] with
-    /// completion instant `end_ns`. No-op when disabled or no request open.
+    /// Close the open request on `pe` with completion instant `end_ns` and
+    /// record its [`ReqRecord`]: the request's spans are walked once, here,
+    /// into its exact phase tiling. Call it only for a completion the
+    /// workload observes; see [`Tracer::cancel_request`] otherwise. No-op
+    /// when disabled or no request open.
     pub fn end_request(&self, pe: usize, end_ns: u64) {
         if !self.enabled {
             return;
         }
         let mut buf = self.pes[pe].lock();
-        if buf.current_req == 0 {
+        let id = std::mem::take(&mut buf.current_req);
+        if id == 0 {
             return;
         }
-        let (arrival_ns, begin_ns) = buf.open_req;
-        let id = buf.current_req;
-        let [nic_ns, wire_ns, sync_ns, fault_ns] = buf.open_phase;
-        buf.requests.push(ReqRecord {
-            id,
-            pe,
+        let (arrival_ns, begin_ns, first) = buf.open_req;
+        let spans: Vec<Span> =
+            buf.spans.get(first..).unwrap_or(&[]).iter().filter(|s| s.req == id).copied().collect();
+        let flows = &buf.flows;
+        let phase_ns = crate::tailprof::tile_request(
+            spans,
+            |remote_end| flows.get(&remote_end).map(|&(_, queue_ns)| queue_ns),
             arrival_ns,
             begin_ns,
             end_ns,
-            nic_ns,
-            wire_ns,
-            sync_ns,
-            fault_ns,
-        });
-        buf.current_req = 0;
-        buf.open_req = (0, 0);
-        buf.open_phase = [0; 4];
+        );
+        buf.requests.push(ReqRecord { id, pe, arrival_ns, begin_ns, end_ns, phase_ns });
+    }
+
+    /// Close the open request on `pe` without a record: an attempt that
+    /// failed, whose completion the workload never observes (it may serve
+    /// the request again later under the same id). No-op when disabled.
+    pub fn cancel_request(&self, pe: usize) {
+        if self.enabled {
+            self.pes[pe].lock().current_req = 0;
+        }
     }
 
     /// Take all recorded request records, merged across PEs and sorted by
@@ -443,7 +447,10 @@ pub fn chrome_trace_json_with_requests(
             (
                 "args".into(),
                 Json::Object(vec![
-                    ("queue_ns".into(), Json::uint(r.begin_ns.saturating_sub(r.arrival_ns) as usize)),
+                    (
+                        "queue_ns".into(),
+                        Json::uint(r.begin_ns.saturating_sub(r.arrival_ns) as usize),
+                    ),
                     (
                         "latency_ns".into(),
                         Json::uint(r.end_ns.saturating_sub(r.arrival_ns) as usize),
@@ -732,10 +739,8 @@ mod tests {
                 arrival_ns: 100,
                 begin_ns: 150,
                 end_ns: 500,
-                nic_ns: 0,
-                wire_ns: 0,
-                sync_ns: 0,
-                fault_ns: 0,
+                // 50 ns queued, then two ops with no NIC breakdown: wire.
+                phase_ns: [50, 350, 0, 0, 0, 0],
             }]
         );
         let spans = t.drain();
@@ -751,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn request_records_accumulate_live_phase_sums() {
+    fn request_records_carry_their_exact_tiling() {
         let t = Tracer::new(true, 1);
         t.begin_request(0, 1, 0, 10);
         let mut put = span(0, SpanKind::Put, 10, 100);
@@ -766,17 +771,35 @@ mod tests {
         t.end_request(0, 350);
         let live = t.live_requests();
         assert_eq!(live.len(), 1);
-        assert_eq!(live[0].nic_ns, 30);
-        assert_eq!(live[0].wire_ns, 50);
-        assert_eq!(live[0].sync_ns, 60);
-        assert_eq!(live[0].fault_ns, 140);
+        // queue wait, wire, nic contention, sync, fault delay, compute.
+        assert_eq!(live[0].phase_ns, [10, 60, 30, 60, 140, 50]);
+        assert_eq!(live[0].phase_ns.iter().sum::<u64>(), live[0].total_ns());
+        assert_eq!(live[0].dominant_phase(), ReqPhase::FaultDelay);
         // Peeking left the record for the end-of-run drain.
         assert_eq!(t.drain_requests(), live);
-        // A following request starts from zero.
+        // A following request walks only its own spans.
         t.begin_request(0, 2, 400, 400);
         t.end_request(0, 450);
         let next = t.drain_requests();
-        assert_eq!((next[0].nic_ns, next[0].fault_ns), (0, 0));
+        assert_eq!(next[0].phase_ns, [0, 0, 0, 0, 0, 50]);
+    }
+
+    #[test]
+    fn cancelled_attempts_leave_no_record() {
+        let t = Tracer::new(true, 1);
+        t.begin_request(0, 7, 0, 0);
+        t.record(span(0, SpanKind::Retry, 0, 80));
+        t.cancel_request(0);
+        t.record(span(0, SpanKind::Barrier, 80, 90));
+        // Served again later under the same id: one record, tiled over the
+        // second attempt only.
+        t.begin_request(0, 7, 0, 100);
+        t.end_request(0, 150);
+        let reqs = t.drain_requests();
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].phase_ns, [100, 0, 0, 0, 0, 50]);
+        let spans = t.drain();
+        assert!(spans.iter().any(|s| s.kind == SpanKind::Barrier && s.req == 0), "closed");
     }
 
     #[test]

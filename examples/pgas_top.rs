@@ -170,14 +170,13 @@ fn churn_top() {
 
 /// The `serve` mode: watch the open-loop serving workload's windowed
 /// latency telemetry live. The stream samples the `serve_latency_ns`
-/// windowed series ([`StreamConfig::with_window_metric`]) into every
-/// snapshot, and the push consumer evaluates the serving SLO over whatever
-/// windows exist *so far* — current p50/p99/p999 and the fast/slow
-/// burn rates — exactly the way an external dashboard would, moving no
-/// virtual clock.
+/// windowed series and its SLO violation counter
+/// ([`StreamConfig::with_window_metric`]) into every snapshot, and the push
+/// consumer evaluates the serving SLO over whatever windows exist *so far*
+/// — current p50/p99/p999 and the fast/slow burn rates — exactly the way an
+/// external dashboard would, moving no virtual clock.
 fn serve_top() {
-    use caf_apps::serve::{run_serve_outcome, ServeConfig};
-    use pgas_machine::metrics::WindowEntry;
+    use caf_apps::serve::{run_serve_outcome, ServeConfig, LATENCY_METRIC};
     use pgas_machine::tailprof::REQ_PHASES;
     use pgas_machine::{with_forced_aggregation, with_forced_plan, with_forced_tracing, FaultPlan};
     use std::sync::{Arc, Mutex};
@@ -201,14 +200,15 @@ fn serve_top() {
     let series: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&series);
     let stream = StreamConfig::new(20_000, 512)
-        .with_window_metric("serve_latency_ns")
+        .with_window_metric(LATENCY_METRIC)
         .with_requests()
         .with_consumer(Arc::new(move |s: &StreamSample| {
             if s.windows.is_empty() {
                 return;
             }
-            let refs: Vec<&WindowEntry> = s.windows.iter().collect();
-            let report = spec.evaluate_series(window_ns, &refs);
+            let windows: Vec<_> = s.windows.iter().collect();
+            let violations: Vec<_> = s.violations.iter().collect();
+            let report = spec.evaluate_series(window_ns, &windows, &violations);
             if let Some(w) = report.windows.last() {
                 sink.lock().unwrap().push((s.t_ns, w.p50, w.p99, w.p999, w.fast_burn_x1000));
             }
@@ -243,26 +243,17 @@ fn serve_top() {
                         burn as f64 / 1000.0
                     );
                 }
-                // Live "top tail causes": decompose the completed slow
-                // requests in the snapshot into their critical-path phases
-                // (queue wait from the open-loop schedule, the tracer's
-                // running nic/wire/sync/fault sums, handler compute as the
-                // busy remainder) and rank where tail time is going so far.
+                // Live "top tail causes": sum the phase tilings of the
+                // completed slow requests in the snapshot — the same records
+                // the final tail attribution reads — and rank where tail
+                // time is going so far.
                 let mut phase = [0u64; 6];
                 let mut slow = 0u64;
-                for r in &s.requests {
-                    if r.end_ns.saturating_sub(r.arrival_ns) <= threshold_ns {
-                        continue;
-                    }
+                for r in s.requests.iter().filter(|r| r.total_ns() > threshold_ns) {
                     slow += 1;
-                    let attributed = r.nic_ns + r.wire_ns + r.sync_ns + r.fault_ns;
-                    phase[0] += r.begin_ns.saturating_sub(r.arrival_ns);
-                    phase[1] += r.wire_ns;
-                    phase[2] += r.nic_ns;
-                    phase[3] += r.sync_ns;
-                    phase[4] += r.fault_ns;
-                    phase[5] +=
-                        r.end_ns.saturating_sub(r.begin_ns).saturating_sub(attributed);
+                    for (acc, ns) in phase.iter_mut().zip(r.phase_ns) {
+                        *acc += ns;
+                    }
                 }
                 let total: u64 = phase.iter().sum();
                 if slow > 0 && total > 0 {

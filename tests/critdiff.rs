@@ -131,7 +131,7 @@ fn serving_digest() -> RunDigest {
             })
         })
     });
-    RunDigest::from_run_with_requests(&out.critical_path(), &out.metrics, &out.req_paths())
+    RunDigest::from_run_with_requests(&out.critical_path(), &out.metrics, out.req_paths())
 }
 
 #[test]

@@ -142,10 +142,7 @@ fn serving_windowed_export_matches_golden_fixture() {
     {
         assert!(text.contains(needle), "windowed series `{needle}` missing from the export");
     }
-    assert!(
-        text.contains("# {req="),
-        "the outage window's p999 carries an exemplar annotation"
-    );
+    assert!(text.contains("# {req="), "the outage window's p999 carries an exemplar annotation");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(SERVING_FIXTURE, &text).expect("write serving golden fixture");
         return;
@@ -213,6 +210,28 @@ fn streaming_channel_does_not_change_virtual_time() {
         samples.len() as u64 + ring.dropped(),
         "lifetime accounting: buffered + dropped tiles everything produced"
     );
+}
+
+#[test]
+fn streamed_request_records_match_the_post_run_records() {
+    // The live "top tail causes" panel and the final tail attribution read
+    // one record per request, tiled once when the request completed: every
+    // record a live sample carries equals the post-run record of the same
+    // request, field for field, phases included.
+    let stream = StreamConfig::new(2_000, 256).with_requests();
+    let ring = stream.ring();
+    let out = with_forced_stream(stream, || with_forced_tracing(true, serving_workload));
+    let last = ring.latest().expect("the serving run publishes samples");
+    assert!(!last.requests.is_empty(), "the last sample carries completed requests");
+    for live in &last.requests {
+        let post = out
+            .requests
+            .binary_search_by_key(&(live.pe, live.id), |r| (r.pe, r.id))
+            .map(|i| &out.requests[i])
+            .expect("every streamed request has a post-run record");
+        assert_eq!(live, post);
+        assert_eq!(live.phase_ns.iter().sum::<u64>(), live.total_ns());
+    }
 }
 
 #[test]
