@@ -596,6 +596,9 @@ pub fn run_serve_outcome(
                     }
                 });
             }
+            // Counted before the victim bows out: its in-epoch completions
+            // were observed like everyone else's.
+            o.completed += done;
             if img.this_image_failed() {
                 break;
             }
@@ -664,7 +667,6 @@ pub fn run_serve_outcome(
             }
             let now = img.shmem().ctx().pe().now();
             o.epochs.push((now, done, quota > 0));
-            o.completed += done;
         }
         if img.this_image_failed() && me <= w {
             // The victim's whole unserved schedule is dropped — however the
@@ -811,6 +813,13 @@ mod tests {
         })
     }
 
+    /// Every observed completion is counted once, in-line or drained, and
+    /// is a read or a write — the victim's own completions included.
+    fn assert_accounted(r: &ServeResult) {
+        assert_eq!(r.completed + r.drained, r.slo.total_count, "completions vs observations");
+        assert_eq!(r.slo.total_count, r.reads + r.writes, "observations vs reads + writes");
+    }
+
     #[test]
     fn violation_counter_is_the_slo_counter_of_the_latency_metric() {
         assert_eq!(pgas_machine::slo::violations_counter(LATENCY_METRIC), VIOLATIONS_COUNTER);
@@ -891,6 +900,7 @@ mod tests {
         let cfg = small();
         let r = run(failure_plan(&cfg), cfg);
         assert_eq!(r.stats.pe_failures, 1, "the scheduled failure fired: {:?}", r.stats);
+        assert_accounted(&r);
         let detect = r.detect_epoch.expect("the failure was observed at an epoch boundary");
         assert_eq!(
             r.checksum, r.acked_sum,
@@ -915,12 +925,43 @@ mod tests {
     }
 
     #[test]
+    fn locked_mode_survives_a_death_at_every_instant() {
+        // Messages to a dead image are dropped, so an image that dies while
+        // queued for a home's lock never gets its handoff, and one that
+        // dies holding it never gets its successor's link. Waiting for
+        // either stalled the whole chain: every instant must return.
+        let cfg = ServeConfig { mode: DhtUpdateMode::Locked, ..small() };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for at in (10_000..=14_000).step_by(100) {
+                let plan = FaultPlan::new(cfg.seed).with_pe_failure(4, at);
+                let (r, _) = with_forced_aggregation(true, || {
+                    with_forced_plan(plan, || {
+                        run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true)
+                    })
+                });
+                tx.send((at, r)).unwrap();
+            }
+        });
+        for at in (10_000..=14_000).step_by(100) {
+            let (got, r) =
+                rx.recv_timeout(std::time::Duration::from_secs(120)).unwrap_or_else(|_| {
+                    panic!("locked serve with PE 4 dying at {at} ns never returned")
+                });
+            assert_eq!(got, at);
+            assert_eq!(r.checksum, r.acked_sum, "death at {at} ns lost an acknowledged write");
+            assert_accounted(&r);
+        }
+    }
+
+    #[test]
     fn slo_report_sees_the_outage_as_a_burn() {
         // Tight threshold + long outage: the drained requests' latency
         // spans the whole detection window, so the burn-rate series must
         // light up in at least one window.
         let cfg = ServeConfig { slo_threshold_ns: 30_000, ..small() };
         let r = run(failure_plan(&cfg), cfg);
+        assert_accounted(&r);
         if r.drained > 0 {
             assert!(
                 r.slo.windows.iter().any(|w| w.violations > 0),
@@ -958,6 +999,7 @@ mod tests {
             .any(|s| begin_of.get(&s.req).is_none_or(|&begin| s.begin < begin));
         assert!(failed, "the scenario exercises a failed first attempt");
         assert_eq!(out.requests.len() as u64, r.slo.total_count, "records == observed");
+        assert_accounted(&r);
         let tail = r.tail.as_ref().expect("traced");
         for w in &r.slo.windows {
             assert_eq!(w.violations, tail.profile_at(w.window).map_or(0, |p| p.slow));
@@ -969,6 +1011,7 @@ mod tests {
         let cfg = ServeConfig { slo_threshold_ns: 30_000, ..small() };
         let plan = failure_plan(&cfg);
         let r = pgas_machine::with_forced_tracing(true, || run(plan, cfg));
+        assert_accounted(&r);
         let tail = r.tail.as_ref().expect("a traced run carries a tail attribution");
         assert!(!tail.profiles.is_empty(), "per-window tail profiles are populated");
         // Every violated window names a dominant cause, and the annotation

@@ -144,7 +144,7 @@ pub fn lock_probe(platform: Platform, images: usize) -> ProbeOutcome {
 /// updates with small-op aggregation forced on — the configuration that
 /// dethrones the paper's locked get–modify–put pattern. The force makes
 /// the digest independent of the `PGAS_COALESCE` environment, so the same
-/// baseline holds in both the plain and the `test-aggregated` CI jobs.
+/// baseline holds in both the plain and the `aggregated` CI presets.
 pub fn dht_throughput_probe(images: usize) -> ProbeOutcome {
     use caf_apps::{run_dht_outcome, DhtConfig, DhtUpdateMode};
     let cfg = DhtConfig {
@@ -166,7 +166,7 @@ pub fn dht_throughput_probe(images: usize) -> ProbeOutcome {
 /// redistribution and journal replay — under the deterministic NIC.
 /// Aggregation *and* payload checksums are forced on internally, so the
 /// digest is independent of both the `PGAS_COALESCE` and `PGAS_CHECKSUM`
-/// environments: the plain, `test-aggregated` and `test-recovery` CI jobs
+/// environments: the plain, `aggregated` and `recovery` CI presets
 /// all compare against the same committed baseline.
 pub fn availability_churn_probe() -> ProbeOutcome {
     use caf_apps::{run_churn_outcome, ChurnConfig};
@@ -266,8 +266,8 @@ pub const FIGURE_IDS: [&str; 14] = [
 /// *contention-scale* anchors (fig3's 16-pair stream, fig8/fig9's
 /// 1024-image lock queue, the supplementary kernels) stay env-sensitive
 /// on purpose: `PGAS_COALESCE=on bench diff fig3_put_bandwidth` is the
-/// acceptance evidence for the aggregation win, and the `test-aggregated`
-/// CI job's 5% regress tolerance genuinely gates those paths. The
+/// acceptance evidence for the aggregation win, and the `aggregated`
+/// CI preset's 5% regress tolerance genuinely gates those paths. The
 /// dht_throughput probe forces aggregation *on* internally (see above).
 pub fn probe_for(figure_id: &str) -> Option<ProbeOutcome> {
     let direct = |f: &dyn Fn() -> ProbeOutcome| pgas_machine::with_forced_aggregation(false, f);

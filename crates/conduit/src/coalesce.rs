@@ -37,13 +37,13 @@ use std::collections::BTreeMap;
 /// Whether (and how) a context coalesces small ops.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum CoalescePolicy {
-    /// Defer to the machine: a `with_forced_aggregation` thread override,
-    /// then `MachineConfig::with_aggregation`, then the `PGAS_COALESCE`
-    /// environment default (off when none of them speaks).
+    /// Defer to the machine: a `with_forced_aggregation` scope, then the
+    /// `PGAS_COALESCE` environment variable (off when neither speaks).
     #[default]
     Auto,
-    /// Never coalesce, regardless of machine/environment defaults. Pinned
-    /// by timing-exact tests the same way `with_faults(FaultPlan::none())`
+    /// Never coalesce, whatever `PGAS_COALESCE` says (only a
+    /// `with_forced_aggregation(true)` scope overrides it). Pinned by
+    /// timing-exact tests the same way `with_faults(FaultPlan::none())`
     /// pins the fault path.
     Off,
     /// Coalesce with this configuration. A machine-level *force-off*

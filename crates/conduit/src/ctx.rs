@@ -204,7 +204,7 @@ pub struct Ctx<'m> {
     opts: CtxOptions,
     hazards: Cell<u64>,
     /// `Some` iff this context coalesces (resolved once at construction
-    /// from the thread override, the options, and the machine default).
+    /// from the scope, the options, and the environment).
     coalescer: Option<RefCell<Coalescer>>,
     /// SPMD-symmetric active-message handler table (see [`crate::am`]).
     /// Shared across sibling contexts so a handler registered on the
@@ -244,18 +244,20 @@ impl<'m> Ctx<'m> {
         next_ctx: Rc<Cell<u32>>,
         am_handlers: Rc<RefCell<Vec<Rc<dyn AmHandler>>>>,
     ) -> Self {
-        let m = pe.machine();
-        // Resolution precedence mirrors the tracing/metrics switches: a
-        // `with_forced_aggregation` thread override beats the explicit
-        // per-context policy, which beats the machine/environment default.
-        let cfg = match (m.aggregation_forced(), opts.coalesce) {
-            (Some(false), _) => None,
-            (Some(true), CoalescePolicy::On(c)) => Some(c),
-            (Some(true), _) => Some(CoalescingConfig::default()),
-            (None, CoalescePolicy::Off) => None,
-            (None, CoalescePolicy::On(c)) => Some(c),
-            (None, CoalescePolicy::Auto) => m.aggregation_default().then(CoalescingConfig::default),
+        // The machine's one rule with this context's policy as the config
+        // layer: a scoped value beats the policy, which beats the
+        // environment (see `pgas_machine::env`).
+        let env = pe.machine().env();
+        let coalesce = match opts.coalesce {
+            _ if env.coalesce_scoped => env.coalesce,
+            CoalescePolicy::Auto => env.coalesce,
+            CoalescePolicy::Off => false,
+            CoalescePolicy::On(_) => true,
         };
+        let cfg = coalesce.then(|| match opts.coalesce {
+            CoalescePolicy::On(c) => c,
+            _ => CoalescingConfig::default(),
+        });
         Ctx {
             pe,
             cost: CostModel::new(pe.machine(), profile),
@@ -269,7 +271,7 @@ impl<'m> Ctx<'m> {
             team_scope: Cell::new(0),
             active_team: Cell::new(0),
             deferred: RefCell::new(Vec::new()),
-            checksums: m.checksums_enabled(),
+            checksums: env.checksum,
             inflight_crc: Cell::new(None),
         }
     }
@@ -501,7 +503,7 @@ impl<'m> Ctx<'m> {
         if m.pe_dead_at(target, self.pe.now()) {
             return Err(ConduitError::TargetFailed { op, target });
         }
-        let max = m.fault_plan().map_or(u32::MAX, |p| p.retry.max_attempts);
+        let max = m.env().faults.as_ref().map_or(u32::MAX, |p| p.retry.max_attempts);
         let me = self.pe.id();
         let stats = m.stats();
         for attempt in 1..=max {
@@ -1370,7 +1372,7 @@ impl<'m> Ctx<'m> {
         let m = self.machine();
         let me = self.pe.id();
         let stats = m.stats();
-        let max = m.fault_plan().map_or(1, |p| p.retry.max_attempts);
+        let max = m.env().faults.as_ref().map_or(1, |p| p.retry.max_attempts);
         for attempt in 1..=max {
             let begin = self.pe.now();
             let delay = m.fault_backoff_ns(me, attempt);
@@ -2532,6 +2534,23 @@ mod tests {
             })
         });
         assert_eq!(out.results[0], (2, 1), "direct path: two obligations, one WAW hazard");
+    }
+
+    #[test]
+    fn scope_on_the_launching_thread_reaches_conduits_on_pe_threads() {
+        // Each PE builds its context on its own thread, where the scope's
+        // thread-local is unset: only the machine carries the value there.
+        for on in [false, true] {
+            let out = pgas_machine::with_forced_aggregation(on, || {
+                pgas_machine::with_forced_checksums(on, || {
+                    run(two_node_cfg(), |pe| {
+                        let ctx = shmem_ctx(pe);
+                        (ctx.coalescing(), ctx.checksums)
+                    })
+                })
+            });
+            assert_eq!(out.results, vec![(on, on); 4], "coalescing and checksums scoped {on}");
+        }
     }
 
     #[test]

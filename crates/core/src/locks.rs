@@ -265,14 +265,27 @@ impl<'m> Image<'m> {
         let m = self.machine();
         let me0 = self.this_image() - 1;
         let word = m.heap(me0).atomic64(locked.offset());
+        // Once the predecessor's clock has passed this image's deadline, its
+        // handoff can only come later and is dropped: this image dies
+        // waiting. Its clock is read before the local word, so a handoff it
+        // issued earlier is already visible.
+        let deadline = m.pe_deadline(me0);
+        let dies_waiting = || {
+            deadline.is_some_and(|d| m.clock(pred.image) >= d) && word.load(Ordering::Acquire) != 0
+        };
         loop {
             m.wait_on(me0, || {
-                word.load(Ordering::Acquire) == 0 || m.pe_failed(pred.image) || m.pe_failed(me0)
+                dies_waiting()
+                    || word.load(Ordering::Acquire) == 0
+                    || m.pe_failed(pred.image)
+                    || m.pe_failed(me0)
             });
-            if m.pe_failed(me0) && word.load(Ordering::Acquire) != 0 {
-                // This image itself has failed while queued: stop waiting so
-                // its thread can observe the death and return. The table
-                // entry it keeps is the expected leak of a failed image.
+            if dies_waiting() || (m.pe_failed(me0) && word.load(Ordering::Acquire) != 0) {
+                // This image has failed while queued: stop waiting (at its
+                // deadline, if its own clock had not reached it) so its
+                // thread can observe the death and return. The table entry
+                // it keeps is the expected leak of a failed image.
+                m.lift_clock(me0, deadline.unwrap_or(0));
                 return;
             }
             if word.load(Ordering::Acquire) == 0 {
@@ -347,6 +360,15 @@ impl<'m> Image<'m> {
                 lck.tail
             )
         });
+        if self.this_image_failed() {
+            // A failed holder releases nothing. A successor's link write to
+            // a dead image is dropped, so waiting for it would never end,
+            // and a live waiter may already have evicted this image. The
+            // holder word names this image or its evictor, so the next
+            // waiter takes the lock through the repair path. The qnode is
+            // the expected leak of a failed image.
+            return;
+        }
         self.vendor_lock_overhead(lck, home);
         let (_, next) = self.qnode_ptrs(q_off);
         let me = RemotePtr::new(self.this_image() - 1, q_off).pack();
@@ -372,14 +394,15 @@ impl<'m> Image<'m> {
             }
             let succ_locked = SymPtr::from_raw_parts(self.nonsym_abs(succ.offset), 1);
             if faults {
-                // A successor that died while queued cannot be woken; the
-                // holder word (set to it above) already publishes the
-                // transfer, so a live waiter behind it can repair.
-                tolerate_dead_target(
-                    self.try_remote_word_set(succ.image, succ_locked, 0),
-                    "lock handoff",
-                    succ.image,
-                );
+                // A successor that died while queued cannot be handed the
+                // lock; the holder word (set to it above) already publishes
+                // the transfer, so a live waiter behind it can repair. Wake
+                // it to find out that it died waiting.
+                let handoff = self.try_remote_word_set(succ.image, succ_locked, 0);
+                if matches!(handoff, Err(ConduitError::TargetFailed { .. })) {
+                    self.machine().apply_and_notify(succ.image, || ());
+                }
+                tolerate_dead_target(handoff, "lock handoff", succ.image);
             } else {
                 self.remote_word_set(succ.image, succ_locked, 0);
             }

@@ -28,6 +28,7 @@ use pgas_machine::config::MachineConfig;
 use pgas_machine::json::{self, Json};
 use pgas_machine::MetricsSnapshot;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 /// Cache-line size assumed by the locality term of the heuristic planner.
@@ -514,8 +515,12 @@ pub fn cache_key_for(cfg: &MachineConfig, profile_label: &str) -> String {
     format!("{}-{}x{}-{}", cfg.name, cfg.nodes, cfg.cores_per_node, profile_label)
 }
 
-fn memo() -> &'static Mutex<HashMap<String, Coefficients>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, Coefficients>>> = OnceLock::new();
+/// A memoised calibration and the cache file it was loaded from or saved
+/// to, if the machine that calibrated it had a `PGAS_PLANNER_CACHE`.
+type Memo = HashMap<String, (Coefficients, Option<PathBuf>)>;
+
+fn memo() -> &'static Mutex<Memo> {
+    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -530,7 +535,7 @@ pub const RATIO_HEALTHY_MAX_PCT: u64 = 125;
 /// Post-run recalibration check: aggregate the run's `plan_cost_ratio_pct`
 /// misprediction histogram and, when the mean falls outside the healthy
 /// band, drop the cached [`Coefficients`] under `key` from both the
-/// process-wide memo and the `PGAS_PLANNER_CACHE` directory — so the *next*
+/// process-wide memo and its `PGAS_PLANNER_CACHE` file — so the *next*
 /// run re-probes the cost model instead of keep planning with a calibration
 /// the measurements just contradicted. Returns the skewed mean when the
 /// calibration was flagged stale, `None` when it is healthy (or the run
@@ -548,18 +553,17 @@ pub fn invalidate_if_skewed(key: &str, metrics: &MetricsSnapshot) -> Option<u64>
     if (RATIO_HEALTHY_MIN_PCT..=RATIO_HEALTHY_MAX_PCT).contains(&mean) {
         return None;
     }
-    memo().lock().unwrap().remove(key);
-    if let Ok(dir) = std::env::var("PGAS_PLANNER_CACHE") {
-        let _ = std::fs::remove_file(cache_file(&dir, key));
+    if let Some((_, Some(file))) = memo().lock().unwrap().remove(key) {
+        let _ = std::fs::remove_file(file);
     }
     Some(mean)
 }
 
 /// File name for one calibration inside the `PGAS_PLANNER_CACHE` directory.
-fn cache_file(dir: &str, key: &str) -> std::path::PathBuf {
+fn cache_file(dir: &Path, key: &str) -> PathBuf {
     let safe: String =
         key.chars().map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' }).collect();
-    std::path::Path::new(dir).join(format!("{safe}.json"))
+    dir.join(format!("{safe}.json"))
 }
 
 /// Plan scorer backed by measured [`Coefficients`].
@@ -580,34 +584,34 @@ impl TunedPlanner {
     }
 
     /// The planner for `shmem`'s machine + profile. Resolution order:
-    /// process-wide memo, then the `PGAS_PLANNER_CACHE` directory (if set),
-    /// then a fresh calibration (stored back in both). `Image::new` warms
-    /// this when the configured algorithm is `Tuned`, so per-transfer calls
-    /// are a map lookup.
+    /// process-wide memo, then the machine's planner cache directory
+    /// (`PGAS_PLANNER_CACHE`, if set), then a fresh calibration (stored back
+    /// in both). `Image::new` warms this when the configured algorithm is
+    /// `Tuned`, so per-transfer calls are a map lookup.
     pub fn for_shmem(shmem: &Shmem<'_>) -> TunedPlanner {
         let cost = CostModel::new(shmem.machine(), *shmem.profile());
         let key = Coefficients::cache_key(&cost);
         let mut memo = memo().lock().unwrap();
-        if let Some(co) = memo.get(&key) {
+        if let Some((co, _)) = memo.get(&key) {
             return TunedPlanner { co: co.clone() };
         }
-        let cache_dir = std::env::var("PGAS_PLANNER_CACHE").ok();
-        if let Some(dir) = &cache_dir {
-            if let Ok(co) = Coefficients::load(&cache_file(dir, &key)) {
+        let file = shmem.machine().env().planner_cache.as_deref().map(|dir| cache_file(dir, &key));
+        if let Some(file) = &file {
+            if let Ok(co) = Coefficients::load(file) {
                 if co.key == key {
-                    memo.insert(key, co.clone());
+                    memo.insert(key, (co.clone(), Some(file.clone())));
                     return TunedPlanner { co };
                 }
             }
         }
         let co = Coefficients::calibrate(&cost);
-        if let Some(dir) = &cache_dir {
+        if let Some(file) = &file {
             // Best-effort persistence; an unwritable cache dir only costs
             // recalibration next process.
-            let _ = std::fs::create_dir_all(dir);
-            let _ = co.save(&cache_file(dir, &key));
+            let _ = file.parent().map(std::fs::create_dir_all);
+            let _ = co.save(file);
         }
-        memo.insert(key, co.clone());
+        memo.insert(key, (co.clone(), file));
         TunedPlanner { co }
     }
 }
@@ -850,7 +854,7 @@ mod tests {
         let key = "testonly-skew-2x4-fake-profile".to_string();
         let m = Machine::new(pgas_machine::generic_smp(4));
         let co = Coefficients::calibrate(&CostModel::new(&m, ConduitProfile::mvapich_shmem()));
-        memo().lock().unwrap().insert(key.clone(), co.clone());
+        memo().lock().unwrap().insert(key.clone(), (co.clone(), None));
 
         // Healthy mean (100): the calibration stays cached.
         assert_eq!(invalidate_if_skewed(&key, &ratio_snapshot(&[90, 100, 110])), None);
@@ -865,7 +869,7 @@ mod tests {
         assert!(!memo().lock().unwrap().contains_key(&key));
 
         // Underprediction skew (mean far below 100) is just as stale.
-        memo().lock().unwrap().insert(key.clone(), co);
+        memo().lock().unwrap().insert(key.clone(), (co, None));
         assert_eq!(invalidate_if_skewed(&key, &ratio_snapshot(&[40, 60])), Some(50));
         assert!(!memo().lock().unwrap().contains_key(&key));
     }

@@ -95,7 +95,7 @@ mod tests {
         let mcfg = generic_smp(2).with_heap_bytes(1 << 17);
         // The planner's calibration predicts *direct* wire costs; pin
         // coalescing off so an ambient PGAS_COALESCE=on (the
-        // test-aggregated CI job) cannot re-time the strided puts it
+        // aggregated CI preset) cannot re-time the strided puts it
         // calibrated against.
         let ccfg = CafConfig::new(Backend::Shmem, Platform::GenericSmp)
             .with_strided(crate::config::StridedAlgorithm::Tuned)

@@ -2,7 +2,6 @@
 
 use crate::fault::FaultPlan;
 use crate::sanitizer::SanitizerMode;
-use crate::stream::StreamConfig;
 
 /// Parameters of one class of link (inter-node wire or intra-node memory bus).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,9 +63,11 @@ pub struct MachineConfig {
     pub compute: ComputeParams,
     /// Stack size for PE threads, bytes.
     pub stack_bytes: usize,
-    /// Record a virtual-time execution trace (see `crate::trace`).
+    /// Record a virtual-time execution trace (see `crate::trace`). `false`
+    /// is no choice: `PGAS_TRACE` still applies (see `crate::env`).
     pub trace: bool,
-    /// Record per-op metrics (see `crate::metrics`). Off by default.
+    /// Record per-op metrics (see `crate::metrics`). `false` is no choice:
+    /// `PGAS_METRICS` still applies.
     pub metrics: bool,
     /// Width of the metrics registry's virtual-time windows, ns. `0` (the
     /// default) records no windowed series; non-zero additionally buckets
@@ -74,46 +75,18 @@ pub struct MachineConfig {
     /// deterministic percentile-over-time / throughput-over-time series.
     /// Only meaningful when metrics are enabled.
     pub metrics_window_ns: u64,
-    /// Race & sync sanitizer mode (see `crate::sanitizer`). Off by default.
+    /// Race & sync sanitizer mode (see `crate::sanitizer`). `Off` is no
+    /// choice: `PGAS_SANITIZER` still applies.
     pub sanitizer: SanitizerMode,
-    /// Deterministic fault schedule (see `crate::fault`). `None` by default;
-    /// a zero plan behaves identically to `None`.
+    /// Deterministic fault schedule (see `crate::fault`). `None` defers to
+    /// `PGAS_FAULT_PLAN`; a zero plan is a choice, and runs fault-free.
     pub faults: Option<FaultPlan>,
-    /// Live streaming snapshot channel (see `crate::stream`). `None` by
-    /// default; there is no environment default — a stream needs a consumer
-    /// holding its ring, so only code can usefully enable one.
-    pub stream: Option<StreamConfig>,
     /// Grant NIC reservations in virtual-time order `(start, pe)` instead of
     /// real-thread arrival order. Off by default: it serializes contended
     /// reservations in *real* time, and it assumes a workload whose real
     /// blocking waits are barriers/`wait_on` (true of the benchmark probes).
     /// Regression probes enable it so contended runs digest bit-identically.
     pub deterministic_nic: bool,
-    /// Worker-pool limit: at most this many PE threads are *runnable* at
-    /// once, admitted in `(virtual clock, pe)` order (see `crate::sched`).
-    /// `None` defers to the `PGAS_WORKERS` environment default; `Some(0)`
-    /// (or any value `>= total_pes`) pins legacy one-thread-per-PE mode,
-    /// beating the environment. Simulation outcomes are bit-identical for
-    /// every setting; the limit only bounds host-side concurrency so
-    /// paper-scale (1024/2048-image) and larger jobs fit the host.
-    pub workers: Option<usize>,
-    /// Default for conduit small-op aggregation (per-destination coalescing
-    /// and active-message fast paths, see `pgas-conduit`). `None` defers to
-    /// the `PGAS_COALESCE` environment default (which itself defaults to
-    /// off); an explicit choice — either way — beats the environment. A
-    /// `with_forced_aggregation` thread override beats both, applied by
-    /// `Machine::new`. The machine itself aggregates nothing; conduits read
-    /// the resolved default back from the machine they attach to.
-    pub aggregation: Option<bool>,
-    /// Default for conduit end-to-end payload checksums (CRC32 computed at
-    /// submit, verified at apply — see `pgas-conduit::integrity`). `None`
-    /// defers to the `PGAS_CHECKSUM` environment default (which itself
-    /// defaults to off); an explicit choice — either way — beats the
-    /// environment. A `with_forced_checksums` thread override beats both,
-    /// applied by `Machine::new`. Checksums charge no virtual time, so
-    /// enabling them changes no digest; they turn injected corruption into
-    /// typed `PayloadCorrupt` retries instead of generic link rejects.
-    pub checksums: Option<bool>,
 }
 
 impl MachineConfig {
@@ -167,16 +140,9 @@ impl MachineConfig {
     }
 
     /// Attach a deterministic fault schedule. An explicit plan — even
-    /// [`FaultPlan::none`] — beats the `PGAS_FAULT_PLAN` environment default.
+    /// [`FaultPlan::none`] — beats the `PGAS_FAULT_PLAN` environment variable.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Attach a live streaming snapshot channel. A `with_forced_stream`
-    /// thread override beats this, mirroring trace/metrics resolution.
-    pub fn with_stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = Some(stream);
         self
     }
 
@@ -187,119 +153,11 @@ impl MachineConfig {
         self
     }
 
-    /// Bound runnable PE threads to `n` worker slots (see the `workers`
-    /// field). An explicit choice — including `0`, meaning unbounded legacy
-    /// mode — beats the `PGAS_WORKERS` environment default.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
     /// Override the PE thread stack size (large jobs shrink it so thousands
     /// of PE threads fit the host's address-space and memory budget).
     pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
         self.stack_bytes = bytes;
         self
-    }
-
-    /// Set the conduit small-op aggregation default (see the `aggregation`
-    /// field). An explicit choice — either way — beats the `PGAS_COALESCE`
-    /// environment default.
-    pub fn with_aggregation(mut self, on: bool) -> Self {
-        self.aggregation = Some(on);
-        self
-    }
-
-    /// The sanitizer mode a machine built from this config will run with.
-    ///
-    /// An explicit [`Self::with_sanitizer`] choice always stands; when the
-    /// config is at the `Off` default, the process-wide `PGAS_SANITIZER`
-    /// environment variable (read once, at first machine build) supplies the
-    /// default. A `with_forced_mode` thread override beats both, but that is
-    /// applied by `Machine::new`, not here.
-    pub fn sanitizer_mode(&self) -> SanitizerMode {
-        match self.sanitizer {
-            SanitizerMode::Off => crate::sanitizer::env_default().unwrap_or(SanitizerMode::Off),
-            explicit => explicit,
-        }
-    }
-
-    /// Whether a machine built from this config will record a trace.
-    ///
-    /// `with_trace(true)` always enables; when the config is at the `false`
-    /// default, the process-wide `PGAS_TRACE` environment variable (read
-    /// once, at first use) supplies the default. A `with_forced_tracing`
-    /// thread override beats both, but that is applied by `Machine::new`,
-    /// not here.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace || crate::trace::env_default().unwrap_or(false)
-    }
-
-    /// Whether a machine built from this config will record metrics.
-    ///
-    /// Resolution mirrors [`Self::trace_enabled`], with the `PGAS_METRICS`
-    /// environment variable and the `with_forced_metrics` thread override.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics || crate::metrics::env_default().unwrap_or(false)
-    }
-
-    /// The worker-pool limit a machine built from this config will run with
-    /// (`None` = legacy one-thread-per-PE).
-    ///
-    /// An explicit [`Self::with_workers`] choice always stands (including an
-    /// explicit `0`, which pins legacy mode); when the config carries no
-    /// limit, the process-wide `PGAS_WORKERS` environment variable (read
-    /// once, at first use) supplies the default. A `with_forced_workers`
-    /// thread override beats both, but that is applied by `Machine::new`,
-    /// not here. `0` and anything `>= total_pes` resolve to `None`: a pool
-    /// that admits every PE at once is exactly legacy mode, so no scheduler
-    /// state is built and the legacy path is untouched.
-    pub fn worker_limit(&self) -> Option<usize> {
-        self.workers.or_else(crate::sched::env_default).filter(|&w| w > 0 && w < self.total_pes())
-    }
-
-    /// Set the conduit payload-checksum default (see the `checksums` field).
-    /// An explicit choice — either way — beats the `PGAS_CHECKSUM`
-    /// environment default.
-    pub fn with_checksums(mut self, on: bool) -> Self {
-        self.checksums = Some(on);
-        self
-    }
-
-    /// The conduit payload-checksum default a machine built from this config
-    /// will advertise (`false` = conduits neither compute nor verify CRCs).
-    ///
-    /// An explicit [`Self::with_checksums`] choice always stands; when the
-    /// config carries no choice, the process-wide `PGAS_CHECKSUM`
-    /// environment variable (read once, at first use) supplies the default.
-    /// A `with_forced_checksums` thread override beats both, but that is
-    /// applied by `Machine::new`, not here.
-    pub fn checksums_default(&self) -> bool {
-        self.checksums.or_else(crate::integrity::env_default).unwrap_or(false)
-    }
-
-    /// The conduit aggregation default a machine built from this config will
-    /// advertise (`false` = conduits do not coalesce unless explicitly asked
-    /// to).
-    ///
-    /// An explicit [`Self::with_aggregation`] choice always stands; when the
-    /// config carries no choice, the process-wide `PGAS_COALESCE`
-    /// environment variable (read once, at first use) supplies the default.
-    /// A `with_forced_aggregation` thread override beats both, but that is
-    /// applied by `Machine::new`, not here.
-    pub fn aggregation_default(&self) -> bool {
-        self.aggregation.or_else(crate::aggregate::env_default).unwrap_or(false)
-    }
-
-    /// The fault plan a machine built from this config will run with.
-    ///
-    /// An explicit [`Self::with_faults`] choice always stands (including an
-    /// explicit zero plan, which disables faults); when the config carries no
-    /// plan, the process-wide `PGAS_FAULT_PLAN` environment variable (read
-    /// once, at first use) supplies the default. A `with_forced_plan` thread
-    /// override beats both, but that is applied by `Machine::new`, not here.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults.clone().or_else(crate::fault::env_default)
     }
 
     /// Validate the configuration, returning a description of the first
@@ -388,57 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_sanitizer_choice_beats_env_default() {
-        // with_sanitizer must stand no matter what PGAS_SANITIZER says —
-        // tests that deliberately request Panic (or Record) rely on it.
-        let cfg = platforms::generic_smp(2).with_sanitizer(SanitizerMode::Panic);
-        assert_eq!(cfg.sanitizer_mode(), SanitizerMode::Panic);
-        let cfg = platforms::generic_smp(2).with_sanitizer(SanitizerMode::Record);
-        assert_eq!(cfg.sanitizer_mode(), SanitizerMode::Record);
-    }
-
-    #[test]
-    fn env_default_applies_when_config_is_off() {
-        // Race-free env proof: read the variable (never write it) and assert
-        // the config resolves to exactly what it says. Locally the variable
-        // is normally unset -> Off; in the PGAS_SANITIZER=record CI job this
-        // asserts the env-driven default reaches the config with no code
-        // changes.
-        let expected = std::env::var("PGAS_SANITIZER")
-            .ok()
-            .as_deref()
-            .and_then(SanitizerMode::parse)
-            .unwrap_or(SanitizerMode::Off);
-        let cfg = platforms::generic_smp(2);
-        assert_eq!(cfg.sanitizer, SanitizerMode::Off, "presets default to Off");
-        assert_eq!(cfg.sanitizer_mode(), expected);
-    }
-
-    #[test]
-    fn explicit_fault_plan_beats_env_default() {
-        // An explicit plan — including an explicit zero plan — must stand no
-        // matter what PGAS_FAULT_PLAN says: timing-exact tests rely on
-        // with_faults(FaultPlan::none()) to opt out of the env-driven plan.
-        let cfg = platforms::generic_smp(2).with_faults(FaultPlan::none());
-        assert!(cfg.fault_plan().unwrap().is_zero());
-        let cfg = platforms::generic_smp(2).with_faults(FaultPlan::transient_drops(9, 0.25));
-        assert_eq!(cfg.fault_plan().unwrap().drop_prob, 0.25);
-    }
-
-    #[test]
-    fn env_fault_plan_applies_when_config_has_none() {
-        // Race-free env proof, mirroring the sanitizer test above: read the
-        // variable (never write it) and assert the config resolves to exactly
-        // what it says. Locally the variable is normally unset -> None; in
-        // the PGAS_FAULT_PLAN CI job this asserts the env-driven plan reaches
-        // the config with no code changes.
-        let expected = std::env::var("PGAS_FAULT_PLAN").ok().as_deref().and_then(FaultPlan::parse);
-        let cfg = platforms::generic_smp(2);
-        assert!(cfg.faults.is_none(), "presets default to no plan");
-        assert_eq!(cfg.fault_plan(), expected);
-    }
-
-    #[test]
     fn validate_checks_fault_plan() {
         let cfg = platforms::generic_smp(4).with_faults(FaultPlan::transient_drops(1, 2.0));
         assert!(cfg.validate().is_err());
@@ -446,56 +253,6 @@ mod tests {
         assert!(cfg.validate().is_err(), "failure of a PE the machine does not have");
         let cfg = platforms::generic_smp(4).with_faults(FaultPlan::transient_drops(1, 0.01));
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn env_trace_and_metrics_apply_when_config_is_off() {
-        // Race-free env proof, mirroring the sanitizer/fault tests: read the
-        // variables (never write them) and assert the config resolves to
-        // exactly what they say. Locally both are normally unset -> false;
-        // in the PGAS_TRACE/PGAS_METRICS CI job this asserts the env-driven
-        // defaults reach the config with no code changes.
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
-                    "1" | "true" | "on" | "yes" => Some(true),
-                    "0" | "false" | "off" | "no" => Some(false),
-                    _ => None,
-                })
-                .unwrap_or(false)
-        };
-        let cfg = platforms::generic_smp(2);
-        assert!(!cfg.trace, "presets default to untraced");
-        assert!(!cfg.metrics, "presets default to no metrics");
-        assert_eq!(cfg.trace_enabled(), parse("PGAS_TRACE"));
-        assert_eq!(cfg.metrics_enabled(), parse("PGAS_METRICS"));
-        // An explicit true always stands.
-        assert!(platforms::generic_smp(2).with_trace(true).trace_enabled());
-        assert!(platforms::generic_smp(2).with_metrics(true).metrics_enabled());
-    }
-
-    #[test]
-    fn env_aggregation_applies_when_config_has_none() {
-        // Race-free env proof, mirroring the trace/metrics tests: read the
-        // variable (never write it) and assert the config resolves to
-        // exactly what it says. Locally the variable is normally unset ->
-        // false; in the PGAS_COALESCE=on CI job this asserts the env-driven
-        // default reaches the config with no code changes.
-        let expected = std::env::var("PGAS_COALESCE")
-            .ok()
-            .and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "true" | "on" | "yes" => Some(true),
-                "0" | "false" | "off" | "no" => Some(false),
-                _ => None,
-            })
-            .unwrap_or(false);
-        let cfg = platforms::generic_smp(2);
-        assert!(cfg.aggregation.is_none(), "presets default to no choice");
-        assert_eq!(cfg.aggregation_default(), expected);
-        // An explicit choice always stands, either way.
-        assert!(platforms::generic_smp(2).with_aggregation(true).aggregation_default());
-        assert!(!platforms::generic_smp(2).with_aggregation(false).aggregation_default());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! SPMD launcher: spawn one OS thread per PE, run the program closure on
 //! each, propagate panics without deadlocking the rest of the job.
 //!
-//! Under a worker limit (`MachineConfig::with_workers` / `PGAS_WORKERS`,
-//! see `crate::sched`) the threads still all spawn, but at most `W` are
+//! Under a worker limit (`with_forced_workers` / `PGAS_WORKERS`, see
+//! `crate::sched`) the threads still all spawn, but at most `W` are
 //! runnable at once: each thread is admitted in `(virtual clock, pe)` order
 //! and yields its slot at every blocking point. Outcomes are bit-identical
 //! for every worker count; the limit only bounds host-side concurrency so
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn traced_requests_carry_their_latency_tiling() {
         use crate::trace::{Span, SpanKind};
-        let out = crate::trace::with_forced_tracing(true, || {
+        let out = crate::env::with_forced_tracing(true, || {
             run(generic_smp(2), |pe| {
                 if pe.id() == 0 {
                     let t = pe.machine().tracer();

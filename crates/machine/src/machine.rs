@@ -1,7 +1,8 @@
 //! The machine proper: PE state, clocks, heaps, NICs, barriers.
 
 use crate::config::MachineConfig;
-use crate::fault::{FaultKind, FaultPlan, FaultState};
+use crate::env::SimEnv;
+use crate::fault::{FaultKind, FaultState};
 use crate::heap::Heap;
 use crate::metrics::MetricsRegistry;
 use crate::nic::Nic;
@@ -220,16 +221,8 @@ pub struct Machine {
     /// mode (no worker limit resolved, or the limit covers every PE), so
     /// the legacy path costs one branch per blocking region.
     sched: Option<SchedState>,
-    /// Conduit aggregation override captured on the launching thread at
-    /// build time (thread-locals do not propagate to PE threads, so
-    /// conduits built on PE threads read it back from here). `Some` beats
-    /// both the config choice and the `PGAS_COALESCE` environment default.
-    aggregation_forced: Option<bool>,
-    /// Resolved payload-checksum switch, captured at build time on the
-    /// launching thread (forced > config > `PGAS_CHECKSUM` env). Unlike
-    /// aggregation there is no per-context refinement, so the machine
-    /// stores the final answer.
-    checksums: bool,
+    /// Every run-time setting, resolved once on the building thread.
+    env: SimEnv,
 }
 
 impl Machine {
@@ -237,28 +230,14 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Arc<Machine> {
         cfg.validate().expect("invalid machine configuration");
         let n = cfg.total_pes();
-        // Resolution mirrors the sanitizer: thread-forced plan beats explicit
-        // config, which beats the PGAS_FAULT_PLAN environment default. A zero
-        // plan builds no state at all.
-        let faults = crate::fault::forced_plan()
-            .or_else(|| cfg.fault_plan())
-            .filter(|plan| !plan.is_zero())
-            .map(|plan| {
-                plan.validate(n, cfg.nodes).expect("invalid fault plan");
-                FaultState::new(plan, n)
-            });
-        // Stream resolution: thread-forced channel beats config. There is no
-        // environment default — a stream needs a consumer holding its ring.
-        let stream =
-            crate::stream::forced_stream().or_else(|| cfg.stream.clone()).map(StreamState::new);
-        // Worker-limit resolution mirrors the others: thread-forced limit
-        // beats explicit config, which beats the PGAS_WORKERS environment
-        // default. Zero or a limit covering every PE is exactly legacy mode,
-        // so no scheduler state is built at all.
-        let sched = crate::sched::forced_workers()
-            .or_else(|| cfg.worker_limit())
-            .filter(|&w| w > 0 && w < n)
-            .map(|w| SchedState::new(w, n));
+        let env = SimEnv::resolve(&cfg);
+        // No plan, no stream and no worker limit build no state at all.
+        let faults = env.faults.clone().map(|plan| {
+            plan.validate(n, cfg.nodes).expect("invalid fault plan");
+            FaultState::new(plan, n)
+        });
+        let stream = env.stream.clone().map(StreamState::new);
+        let sched = env.workers.map(|w| SchedState::new(w, n));
         let arbiter = cfg.deterministic_nic.then(|| ArbiterState {
             inner: Mutex::new(ArbInner {
                 parked: BTreeSet::new(),
@@ -280,13 +259,6 @@ impl Machine {
             stream,
             arbiter,
             sched,
-            // Aggregation resolution mirrors the others: capture the thread
-            // override here, on the launching thread; conduits combine it
-            // with the config/env default via the getters below.
-            aggregation_forced: crate::aggregate::forced_aggregation(),
-            // Checksum resolution mirrors aggregation, fully resolved here.
-            checksums: crate::integrity::forced_checksums()
-                .unwrap_or_else(|| cfg.checksums_default()),
             pes: (0..n)
                 .map(|_| PeState {
                     heap: Heap::new(cfg.heap_bytes),
@@ -298,24 +270,12 @@ impl Machine {
             global_barrier: ClockBarrier::new(n),
             subset_barriers: Mutex::new(HashMap::new()),
             stats: Stats::default(),
-            // Trace/metrics resolution mirrors the sanitizer and fault plan:
-            // thread-forced override beats config, which beats env default.
-            tracer: Tracer::new(
-                crate::trace::forced_tracing().unwrap_or_else(|| cfg.trace_enabled()),
-                n,
-            ),
-            metrics: MetricsRegistry::new_windowed(
-                crate::metrics::forced_metrics().unwrap_or_else(|| cfg.metrics_enabled()),
-                n,
-                cfg.metrics_window_ns,
-            ),
-            sanitizer: Sanitizer::new(
-                crate::sanitizer::forced_mode().unwrap_or_else(|| cfg.sanitizer_mode()),
-                n,
-                cfg.heap_bytes,
-            ),
+            tracer: Tracer::new(env.trace, n),
+            metrics: MetricsRegistry::new_windowed(env.metrics, n, cfg.metrics_window_ns),
+            sanitizer: Sanitizer::new(env.sanitizer, n, cfg.heap_bytes),
             poison: Poison::default(),
             cfg,
+            env,
         })
     }
 
@@ -324,29 +284,11 @@ impl Machine {
         &self.cfg
     }
 
-    /// The `with_forced_aggregation` override active on the thread that
-    /// built this machine, if any. Beats both the config choice and the
-    /// `PGAS_COALESCE` environment default (see `pgas-conduit`, which
-    /// performs the final resolution against its own per-context options).
+    /// The run-time settings this machine resolved when it was built (see
+    /// [`crate::env`]).
     #[inline]
-    pub fn aggregation_forced(&self) -> Option<bool> {
-        self.aggregation_forced
-    }
-
-    /// The config/environment aggregation default for conduits attached to
-    /// this machine ([`MachineConfig::aggregation_default`]).
-    #[inline]
-    pub fn aggregation_default(&self) -> bool {
-        self.cfg.aggregation_default()
-    }
-
-    /// Should conduits attached to this machine checksum wire payloads?
-    /// Resolved at build time: `with_forced_checksums` beats
-    /// [`MachineConfig::with_checksums`], which beats the `PGAS_CHECKSUM`
-    /// environment default.
-    #[inline]
-    pub fn checksums_enabled(&self) -> bool {
-        self.checksums
+    pub fn env(&self) -> &SimEnv {
+        &self.env
     }
 
     /// Total number of PEs.
@@ -502,11 +444,6 @@ impl Machine {
     #[inline]
     pub fn faults_active(&self) -> bool {
         self.faults.is_some()
-    }
-
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
     }
 
     /// Roll one message attempt by `pe` against the plan's transient-fault
@@ -692,13 +629,6 @@ impl Machine {
     }
 
     // ---- worker-pool scheduling -----------------------------------------
-
-    /// The resolved worker-pool limit, or `None` in legacy one-thread-per-PE
-    /// mode.
-    #[inline]
-    pub fn worker_limit(&self) -> Option<usize> {
-        self.sched.as_ref().map(|s| s.workers())
-    }
 
     /// Launcher hook: block until `pe`'s thread is admitted to a worker
     /// slot (no-op in legacy mode). Keys the ready queue by `pe`'s current
@@ -1315,21 +1245,18 @@ mod tests {
 
     #[test]
     fn worker_limit_resolution() {
-        // Explicit choices are env-independent: with_workers beats the
-        // PGAS_WORKERS default (the test-pooled CI job) in every case.
-        let m = Machine::new(generic_smp(4).with_workers(2));
-        assert_eq!(m.worker_limit(), Some(2));
-        let m = Machine::new(generic_smp(4).with_workers(0));
-        assert_eq!(m.worker_limit(), None, "explicit 0 pins legacy mode");
-        let m = Machine::new(generic_smp(4).with_workers(4));
-        assert_eq!(m.worker_limit(), None, "a pool covering every PE is legacy mode");
-        crate::sched::with_forced_workers(2, || {
-            let m = Machine::new(generic_smp(4).with_workers(0));
-            assert_eq!(m.worker_limit(), Some(2), "forced override beats explicit config");
+        // Scoped choices are env-independent: they beat the PGAS_WORKERS
+        // default (the pooled CI cell) in every case.
+        use crate::env::with_forced_workers;
+        let limit = |w| with_forced_workers(w, || Machine::new(generic_smp(4)).env().workers);
+        assert_eq!(limit(2), Some(2));
+        assert_eq!(limit(0), None, "explicit 0 pins legacy mode");
+        assert_eq!(limit(4), None, "a pool covering every PE is legacy mode");
+        with_forced_workers(0, || {
+            assert_eq!(limit(2), Some(2), "the inner scope beats the outer one");
         });
-        crate::sched::with_forced_workers(0, || {
-            let m = Machine::new(generic_smp(4).with_workers(2));
-            assert_eq!(m.worker_limit(), None, "forced 0 pins legacy over config");
+        with_forced_workers(2, || {
+            assert_eq!(limit(0), None, "an inner 0 pins legacy over the outer scope");
         });
     }
 
@@ -1341,9 +1268,10 @@ mod tests {
     ) where
         R: Send + PartialEq + std::fmt::Debug,
     {
-        let legacy = crate::launch::run(cfg().with_workers(0), &program);
+        let run = |w| crate::env::with_forced_workers(w, || crate::launch::run(cfg(), &program));
+        let legacy = run(0);
         for w in [1, 2, 3] {
-            let pooled = crate::launch::run(cfg().with_workers(w), &program);
+            let pooled = run(w);
             assert_eq!(pooled.results, legacy.results, "worker limit {w}");
             assert_eq!(pooled.clocks, legacy.clocks, "worker limit {w}");
             assert_eq!(pooled.nics, legacy.nics, "worker limit {w}");
@@ -1439,15 +1367,17 @@ mod tests {
         // panics while the others still wait for a slot: every worker limit
         // must report PE 0's panic, as legacy mode does, instead of hanging.
         let run_with = |w: usize| {
-            crate::launch::run_with_result(generic_smp(4).with_workers(w), |pe| {
-                let m = pe.machine();
-                let me = pe.id();
-                m.advance(me, 10.0 * me as f64);
-                m.barrier_all(me, 0.0);
-                if me == 0 {
-                    panic!("boom after the barrier");
-                }
-                m.barrier_all(me, 0.0)
+            crate::env::with_forced_workers(w, || {
+                crate::launch::run_with_result(generic_smp(4), |pe| {
+                    let m = pe.machine();
+                    let me = pe.id();
+                    m.advance(me, 10.0 * me as f64);
+                    m.barrier_all(me, 0.0);
+                    if me == 0 {
+                        panic!("boom after the barrier");
+                    }
+                    m.barrier_all(me, 0.0)
+                })
             })
             .map(|out| out.clocks)
         };
@@ -1469,9 +1399,9 @@ mod tests {
         // (16-way contention under the arbiter), writes its ring neighbour
         // and meets everyone in a barrier. No arbiter or ready-queue wait
         // may need its poll tick to make progress.
-        let m = Machine::new(
-            crate::platforms::stampede(16, 16).with_deterministic_nic().with_workers(2),
-        );
+        let m = crate::env::with_forced_workers(2, || {
+            Machine::new(crate::platforms::stampede(16, 16).with_deterministic_nic())
+        });
         let out = crate::launch::run_on(m.clone(), |pe| {
             let m = pe.machine();
             let me = pe.id();
@@ -1525,12 +1455,12 @@ mod tests {
 
     #[test]
     fn fault_hooks_are_inert_without_a_plan() {
-        // Force the no-plan state: a PGAS_FAULT_PLAN env default (the CI
-        // test-faulted job) would otherwise reach this machine.
-        crate::fault::with_forced_plan(crate::fault::FaultPlan::none(), || {
+        // Force the no-plan state: a PGAS_FAULT_PLAN env default (the
+        // faulted CI preset) would otherwise reach this machine.
+        crate::env::with_forced_plan(crate::fault::FaultPlan::none(), || {
             let m = Machine::new(generic_smp(2));
             assert!(!m.faults_active());
-            assert!(m.fault_plan().is_none());
+            assert!(m.env().faults.is_none());
             assert!(m.fault_draw(0).is_none());
             assert_eq!(m.fault_backoff_ns(0, 1), 0);
             assert_eq!(m.degradation_factor(0, 12345), 1.0);
@@ -1573,7 +1503,7 @@ mod tests {
         use crate::stream::StreamConfig;
         let sc = StreamConfig::new(100, 16);
         let ring = sc.ring();
-        let m = Machine::new(generic_smp(2).with_stream(sc));
+        let m = crate::env::with_forced_stream(sc, || Machine::new(generic_smp(2)));
         assert!(m.stream_active());
         // 7 × 30 ns: the 100 ns boundary is crossed at t=120 (sample, next
         // due tick 200) and the 200 ns boundary at t=210 (second sample).

@@ -81,11 +81,7 @@ pub fn stampede(nodes: usize, cores_per_node: usize) -> MachineConfig {
         metrics_window_ns: 0,
         sanitizer: SanitizerMode::Off,
         faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
     }
 }
 
@@ -110,11 +106,7 @@ pub fn titan(nodes: usize, cores_per_node: usize) -> MachineConfig {
         metrics_window_ns: 0,
         sanitizer: SanitizerMode::Off,
         faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
     }
 }
 
@@ -139,11 +131,7 @@ pub fn cray_xc30(nodes: usize, cores_per_node: usize) -> MachineConfig {
         metrics_window_ns: 0,
         sanitizer: SanitizerMode::Off,
         faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
     }
 }
 
@@ -168,11 +156,7 @@ pub fn generic_smp(cores: usize) -> MachineConfig {
         metrics_window_ns: 0,
         sanitizer: SanitizerMode::Off,
         faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
     }
 }
 

@@ -13,12 +13,10 @@
 //! observability-off check) is that attaching a stream changes no virtual
 //! clock: sampling only ever reads.
 //!
-//! Enabling resolves like tracing and metrics, minus the environment
-//! default — a stream without a consumer holding the ring is useless, so
-//! there is nothing sensible an env var could do. A thread-forced override
-//! ([`with_forced_stream`]) beats `MachineConfig::stream`.
+//! A stream is attached only by the `with_forced_stream` scope (see
+//! [`crate::env`]): a stream without a consumer holding the ring is useless,
+//! so there is nothing sensible an env var could do.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -242,34 +240,6 @@ impl StreamConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Enable resolution: forced (thread) > config. No environment default — a
-// stream is only meaningful with a consumer holding the ring.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static FORCED_STREAM: RefCell<Option<StreamConfig>> = const { RefCell::new(None) };
-}
-
-pub(crate) fn forced_stream() -> Option<StreamConfig> {
-    FORCED_STREAM.with(|c| c.borrow().clone())
-}
-
-/// Run `f` with the streaming channel `cfg` forced onto machines constructed
-/// on this thread, overriding `MachineConfig::stream`. Restores the previous
-/// override on exit (including unwinds).
-pub fn with_forced_stream<R>(cfg: StreamConfig, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<StreamConfig>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_STREAM.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = FORCED_STREAM.with(|c| c.borrow_mut().replace(cfg));
-    let _restore = Restore(prev);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,21 +280,6 @@ mod tests {
         ring.push(sample(1));
         assert_eq!(ring.latest().unwrap().seq, 1);
         assert_eq!(ring.len(), 2, "latest() is a peek");
-    }
-
-    #[test]
-    fn forced_stream_restores_on_exit() {
-        assert!(forced_stream().is_none());
-        let cfg = StreamConfig::new(1000, 8);
-        with_forced_stream(cfg.clone(), || {
-            assert_eq!(forced_stream().unwrap().cadence_ns(), 1000);
-            let inner = StreamConfig::new(500, 8);
-            with_forced_stream(inner, || {
-                assert_eq!(forced_stream().unwrap().cadence_ns(), 500);
-            });
-            assert_eq!(forced_stream().unwrap().cadence_ns(), 1000);
-        });
-        assert!(forced_stream().is_none());
     }
 
     #[test]

@@ -35,13 +35,13 @@ const SERVING_FIXTURE: &str =
 fn workload() -> pgas_machine::SimOutcome<i64> {
     // Pin coalescing off for the same reason as the zero fault plan: the
     // golden fixture records the *direct* op path's metrics, and an ambient
-    // PGAS_COALESCE=on (the test-aggregated CI job) would re-route small
+    // PGAS_COALESCE=on (the aggregated CI preset) would re-route small
     // puts through staging buffers and change the byte-exact counters.
     pgas_machine::with_forced_aggregation(false, || {
         run_caf(
             // Byte-exact goldens need a clean interconnect: the explicit zero
-            // plan opts out of the PGAS_FAULT_PLAN environment default (the CI
-            // test-faulted job), whose injected retries would add AMOs and
+            // plan opts out of the PGAS_FAULT_PLAN environment default (the
+            // faulted CI preset), whose injected retries would add AMOs and
             // quiets to the counters.
             generic_smp(4).with_heap_bytes(1 << 17).with_faults(FaultPlan::none()),
             CafConfig::new(Backend::Shmem, Platform::GenericSmp),
